@@ -73,7 +73,6 @@ class DeePCConfig:
     u_upper: object = math.inf
     y_lower: object = None
     y_upper: object = None
-    reduction_rank: int | None = None
     tol_kkt: float = 1e-8
     tol_feas: float = 1e-8
     max_iter: int = 20000
@@ -87,8 +86,6 @@ class DeePCConfig:
             raise ValueError(f"lambda_g must be >= 0, got {self.lambda_g}")
         if self.lambda_y < 0:
             raise ValueError(f"lambda_y must be >= 0, got {self.lambda_y}")
-        if self.reduction_rank is not None and self.reduction_rank < 1:
-            raise ValueError(f"reduction_rank must be >= 1, got {self.reduction_rank}")
 
     def input_bounds(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         lo = np.broadcast_to(np.asarray(self.u_lower, dtype=float), (m,)).copy()
@@ -160,6 +157,8 @@ def advance(history: HistoryBuffer, applied_input, measured_output):
 
 @dataclass(frozen=True)
 class DeePCStepResult:
+    """One receding-horizon solve; solver_path is the QpSolution path."""
+
     optimal_inputs: np.ndarray      # (horizon, m)
     predicted_outputs: np.ndarray   # (horizon, p)
     decision_vector: np.ndarray     # g (or reduced g)
@@ -168,6 +167,7 @@ class DeePCStepResult:
     solver_status: str
     kkt_residual: float
     iterations: int
+    solver_path: str
 
 
 class DeePCTemplate:
@@ -294,7 +294,13 @@ def step(template: DeePCTemplate, history: HistoryBuffer, reference_window,
         optimal_inputs=u, predicted_outputs=y, decision_vector=g,
         sigma_y=sigma_y, objective=objective, solver_status=sol.status,
         kkt_residual=sol.kkt_residual, iterations=sol.iterations,
+        solver_path=sol.path,
     )
+
+
+def _require_finite(inputs, outputs):
+    if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(outputs))):
+        raise ValueError("input and output samples must be finite")
 
 
 class DeePCController:
@@ -307,11 +313,15 @@ class DeePCController:
         self.fallback_count = 0
 
     def prime(self, inputs, outputs):
-        """Seed the history with t_ini (input, output) pairs, oldest first."""
+        """Seed the history with t_ini (input, output) pairs, oldest first.
+
+        Raises ValueError, with the history unchanged, on a non-finite sample.
+        """
         inputs = np.asarray(inputs, dtype=float).reshape(-1, self.template.m)
         outputs = np.asarray(outputs, dtype=float).reshape(-1, self.template.p)
         if len(inputs) != len(outputs):
             raise ValueError("inputs and outputs must pair up")
+        _require_finite(inputs, outputs)
         for u, y in zip(inputs, outputs):
             self.history.push(u, y)
         if self._last_applied is None and len(inputs):
@@ -338,6 +348,12 @@ class DeePCController:
         return u0, result, fell_back
 
     def observe(self, applied_input, measured_output):
-        advance(self.history, applied_input, measured_output)
-        self._last_applied = np.asarray(applied_input, dtype=float).reshape(
-            self.template.m).copy()
+        """Record the applied input and the measured output.
+
+        Raises ValueError, with the history unchanged, on a non-finite sample.
+        """
+        u = np.asarray(applied_input, dtype=float).reshape(self.template.m)
+        y = np.asarray(measured_output, dtype=float).reshape(self.template.p)
+        _require_finite(u, y)
+        advance(self.history, u, y)
+        self._last_applied = u.copy()

@@ -10,6 +10,7 @@ input and its diagnostics.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 
@@ -26,10 +27,11 @@ from .hankel import (
     is_persistently_exciting,
     numerical_rank,
     partition_past_future,
+    singular_value_rank,
 )
 from .kinematics import ArmGeometry, cc_forward, cc_inverse
 from .plants import DisturbanceConfig, SoftArmPlant
-from .reduction import factorize_and_condense
+from .reduction import factorize_and_condense, select_rank
 from .runlog import RunLog, StageSpec, compute_metrics
 
 
@@ -160,8 +162,8 @@ def collect_dataset(
     return TrajectoryDataset(inputs=inputs, outputs=outputs)
 
 
-def _raise_rank_until_feasible(partition, condensed):
-    """Smallest rank at/above the energy pick that keeps the input rows full.
+def _raise_rank_until_feasible(partition, energy_fraction):
+    """Energy-rule condensation at the smallest rank that keeps the input rows full.
 
     The receding-horizon equality pins the condensed past-input rows to the
     live input history, and the future rows meet actuation boxes; both stay
@@ -169,30 +171,39 @@ def _raise_rank_until_feasible(partition, condensed):
     full row rank. The energy rule alone can truncate below that, so the rank
     is raised to the smallest value restoring it (the rank choice is an
     empirical control-performance knob; an explicit override wins).
+
+    The stack is factorized once: the rank-r condensation is the first r
+    columns of the full one, and the stack's numerical rank comes from the
+    same singular values.
     """
-    m_rows = partition.input_dim * (partition.t_ini + partition.horizon)
+    shape = ((partition.input_dim + partition.output_dim) * partition.depth,
+             partition.columns)
+    full = factorize_and_condense(partition, r=min(shape))
+    s = full.singular_values
+    stack_rank = singular_value_rank(s, shape)
+    m_rows = partition.input_dim * partition.depth
     target = min(m_rows, partition.columns)
 
-    def input_rank(c):
-        return numerical_rank(np.vstack([c.Up, c.Uf]))
+    def condense(r):
+        return dataclasses.replace(full, condensed=full.condensed[:, :r], rank_used=r)
 
-    if input_rank(condensed) >= target:
-        return condensed
-    lo = max(condensed.rank_used + 1, target)
-    hi = numerical_rank(partition.stacked())
-    if hi < lo:
-        return factorize_and_condense(partition, r=hi)
-    best = factorize_and_condense(partition, r=hi)
-    if input_rank(best) < target:
-        return best  # data itself cannot span the inputs; keep the closest
+    def input_rank(r):
+        return numerical_rank(full.condensed[:m_rows, :r])
+
+    r = min(select_rank(s, energy_fraction), stack_rank)
+    if input_rank(r) >= target:
+        return condense(r)
+    lo = max(r + 1, target)
+    hi = stack_rank
+    if hi < lo or input_rank(hi) < target:
+        return condense(hi)  # data itself cannot span the inputs; keep the closest
     while lo < hi:
         mid = (lo + hi) // 2
-        probe = factorize_and_condense(partition, r=mid)
-        if input_rank(probe) >= target:
-            best, hi = probe, mid
+        if input_rank(mid) >= target:
+            hi = mid
         else:
             lo = mid + 1
-    return best
+    return condense(hi)
 
 
 def build_controller(cfg: ExperimentConfig, dataset: TrajectoryDataset) -> DeePCController:
@@ -212,8 +223,7 @@ def build_controller(cfg: ExperimentConfig, dataset: TrajectoryDataset) -> DeePC
             r = min(cfg.reduction_rank, min(stack.shape))
             data = factorize_and_condense(partition, r=r)
         else:
-            data = factorize_and_condense(partition, energy_fraction=cfg.reduction_energy)
-            data = _raise_rank_until_feasible(partition, data)
+            data = _raise_rank_until_feasible(partition, cfg.reduction_energy)
     else:
         data = partition
     u_hi = np.minimum(dataset.inputs.max(axis=0), cfg.u_upper)

@@ -15,6 +15,7 @@ __all__ = [
     "HankelPartition",
     "build_hankel",
     "numerical_rank",
+    "singular_value_rank",
     "is_persistently_exciting",
     "partition_past_future",
     "representability_residual",
@@ -127,10 +128,14 @@ def build_hankel(signal, depth: int) -> BlockHankel:
 
 def numerical_rank(matrix: np.ndarray) -> int:
     """Rank by singular values, tolerance max(shape) * sigma_max * eps."""
-    s = np.linalg.svd(matrix, compute_uv=False)
+    return singular_value_rank(np.linalg.svd(matrix, compute_uv=False), matrix.shape)
+
+
+def singular_value_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """numerical_rank of a matrix of the given shape, from its singular values."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    tol = max(matrix.shape) * s[0] * np.finfo(float).eps
+    tol = max(shape) * s[0] * np.finfo(float).eps
     return int(np.count_nonzero(s > tol))
 
 

@@ -4,15 +4,26 @@
     subject to  A_eq z = b_eq
                 lower <= A_in z <= upper
 
-Method: operator-splitting ADMM on the combined constraint stack with Ruiz
-equilibration and per-row step sizes, followed by an active-set polish that
-re-solves an equality-constrained QP on the detected active rows. Polish is
-what brings the KKT residual to the 1e-8 default tolerance; plain ADMM
-iterates are accepted only if they certify on their own.
+Method: an active-set solve in the multiplier space, started from the
+working set of the last certified solve on the same solver. This is the
+online active-set idea of qpOASES (Ferreau, Bock & Diehl, 2008) applied to
+the polish step of OSQP (Stellato et al., 2020): in a receding-horizon loop
+the active set moves little between solves, so the previous working set is
+a close start. With P > 0 a sweep factors only the working-set block of the
+cached Gram matrix A P^-1 A' and reads the bound rows off the multipliers;
+z is formed once at the end. A singular P takes a regularized KKT solve
+instead.
 
-All residuals are reported unscaled and relative with a floor of 1 in the
-denominator, so well-scaled problems see absolute tolerances and large
-problems are judged proportionally.
+Operator-splitting ADMM (Ruiz equilibration, per-row step sizes) is the
+fallback: it runs when there is no certified previous working set or the
+warm result does not certify, and its multiplier signs seed the same
+active-set solve. Plain ADMM iterates are accepted only if they certify on
+their own.
+
+Every "optimal" result is certified by the KKT residual. All residuals are
+reported unscaled and relative with a floor of 1 in the denominator, so
+well-scaled problems see absolute tolerances and large problems are judged
+proportionally.
 
 A QpSolver instance caches factorizations for a fixed (P, A_eq, A_in)
 structure so a receding-horizon loop pays the dense factorization once.
@@ -22,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = ["QpProblem", "QpSolution", "QpSolver", "solve"]
 
@@ -114,6 +126,15 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class QpSolution:
+    """Result of one solve.
+
+    iterations counts ADMM iterations, so it is 0 on the warm path. path
+    names how the result was reached: "warm" when the active-set solve from
+    the previous working set certified without ADMM, "admm" when ADMM ran and
+    its result (or its seeded active-set solve) certified, and "uncertified"
+    when status is not "optimal".
+    """
+
     z_star: np.ndarray
     objective: float
     status: str
@@ -121,6 +142,7 @@ class QpSolution:
     iterations: int
     multipliers_eq: np.ndarray
     multipliers_in: np.ndarray
+    path: str
 
 
 def _ruiz_equilibrate(P, A, iterations=10):
@@ -150,24 +172,18 @@ def _ruiz_equilibrate(P, A, iterations=10):
     return D, E
 
 
-def _min_norm_solve(P, q):
-    """Minimum-norm stationary point of the unconstrained QP."""
-    try:
-        c = cho_factor(P)
-        return cho_solve(c, -q)
-    except np.linalg.LinAlgError:
-        pass
-    except ValueError:
-        pass
-    z, *_ = np.linalg.lstsq(P, -q, rcond=None)
-    return z
+def _finite(x, name):
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
+    return x
 
 
 class QpSolver:
     """Solver bound to fixed (P, A_eq, A_in); q, b_eq and bounds vary per solve.
 
     Reusing one instance across a receding-horizon loop amortizes the Ruiz
-    scaling, the ADMM factorization, and the polish Gram matrix.
+    scaling, the ADMM factorization and the polish Gram matrix, and lets each
+    solve start from the working set of the last certified one.
     """
 
     def __init__(self, P, A_eq=None, A_in=None):
@@ -198,7 +214,7 @@ class QpSolver:
 
         self._admm_factor_cache: dict[bytes, tuple] = {}
 
-        # polish path: Schur complement on a cached Cholesky of P when P > 0
+        # polish in multiplier space on the Gram matrix A P^-1 A' when P > 0
         self._chol_P = None
         self._polish_Y = None
         self._polish_gram = None
@@ -206,15 +222,27 @@ class QpSolver:
             self._chol_P = cho_factor(self.P)
         except (np.linalg.LinAlgError, ValueError):
             self._chol_P = None
-        if self._chol_P is not None and self.m_rows:
+        if self._chol_P is not None:
             self._polish_Y = cho_solve(self._chol_P, self.A_all.T)
             self._polish_gram = self.A_all @ self._polish_Y
 
-        self._rank_A_eq = np.linalg.matrix_rank(self.A_eq) if self.n_e else 0
+        # orthonormal basis of range(A_eq) and its largest singular value,
+        # kept only when A_eq has dependent rows: otherwise every b_eq is
+        # consistent
+        self._eq_range = None
+        if self.n_e:
+            U, s, _ = np.linalg.svd(self.A_eq, full_matrices=False)
+            rank = int(np.count_nonzero(s > s[0] * max(self.A_eq.shape)
+                                        * np.finfo(float).eps))
+            if rank < self.n_e:
+                self._eq_range = (U[:, :rank], s[0])
 
-        # warm-start memory for repeated solves
+        # warm-start memory for repeated solves: the ADMM iterate and the
+        # working set (rows held at lower, rows held at upper) of the last
+        # certified solve
         self._last_x = None
         self._last_y = None
+        self._working_set = None
 
     # ---------------- residual bookkeeping ----------------
 
@@ -266,126 +294,116 @@ class QpSolver:
         feas = max(r_eq, r_box)
         return kkt, feas
 
+    def _eq_consistent(self, b_eq):
+        """Whether b_eq lies in range(A_eq), at the tolerance of matrix_rank."""
+        if self._eq_range is None:
+            return True
+        B, s_max = self._eq_range
+        resid = np.linalg.norm(b_eq - B @ (B.T @ b_eq))
+        # the largest singular value of [A_eq | b_eq] is at most this
+        s_aug = np.hypot(s_max, np.linalg.norm(b_eq))
+        return resid <= s_aug * max(self.n_e, self.n + 1) * np.finfo(float).eps
+
     # ---------------- polish ----------------
 
-    def _polish(self, q, b_eq, lower, upper, y_in, max_sweeps=25):
-        """Active-set refinement seeded by the ADMM multiplier signs.
+    def _polish(self, q, b_eq, lower, upper, low, up, max_sweeps=25):
+        """Active-set solve from a working set of inequality rows.
 
-        Each sweep solves an equality-constrained QP on the working set, then
-        adds rows the solution pushed out of the box and drops rows whose
-        multiplier sign contradicts the side they are pinned to. Converges in
-        a few sweeps when the seed is near the true set; the caller certifies
-        the result, so a bad outcome is merely discarded.
+        low and up are boolean masks of the rows held at their lower and
+        upper bound. Each sweep solves the equality-constrained QP on the
+        working set, then adds rows the solution pushed out of the box and
+        drops rows whose multiplier sign contradicts the side they are pinned
+        to, until the set stops changing. With P > 0 a sweep works on the
+        cached Gram matrix alone: it solves for the multipliers and reads
+        A_in z off them, and z itself is formed once at the end. Returns
+        (z, nu_eq, y, low, up) or None; the caller certifies the result, so a
+        bad outcome is merely discarded.
         """
-        act_low = np.flatnonzero(y_in < 0) if self.n_i else np.zeros(0, dtype=int)
-        act_up = np.flatnonzero(y_in > 0) if self.n_i else np.zeros(0, dtype=int)
-        pinned = np.zeros(0, dtype=int)
-        if self.n_i:
-            pinned = np.flatnonzero(lower == upper)
-            act_low = np.union1d(act_low, pinned)
-            act_up = np.setdiff1d(act_up, pinned)
-
-        result = None
-        for _ in range(max_sweeps):
-            result = self._polish_solve(q, b_eq, lower, upper, act_low, act_up)
-            if result is None:
-                return None
-            z, _, y = result
-            if not self.n_i:
-                return result
-            Az = self.A_in @ z
-            scale = max(1.0, float(np.max(np.abs(Az))))
-            tol = 1e-11 * scale
-            viol_low = np.flatnonzero(Az < lower - tol)
-            viol_up = np.flatnonzero(Az > upper + tol)
-            # a low-pinned row wants y <= 0, an up-pinned row y >= 0
-            drop_low = act_low[y[act_low] > tol]
-            drop_low = np.setdiff1d(drop_low, pinned)
-            drop_up = act_up[y[act_up] < -tol]
-            if (len(viol_low) == 0 and len(viol_up) == 0
-                    and len(drop_low) == 0 and len(drop_up) == 0):
-                return result
-            act_low = np.union1d(np.setdiff1d(act_low, drop_low), viol_low)
-            act_up = np.union1d(np.setdiff1d(act_up, drop_up), viol_up)
-            act_up = np.setdiff1d(act_up, act_low)
-        return result
-
-    def _polish_solve(self, q, b_eq, lower, upper, act_low, act_up):
-        """Equality-solve with the given working set; returns (z, nu_eq, y) or None."""
-        k_e, k_l, k_u = self.n_e, len(act_low), len(act_up)
-        rows = []
-        rhs = []
-        if k_e:
-            rows.append(np.arange(k_e))
-            rhs.append(b_eq)
-        if k_l:
-            rows.append(k_e + act_low)
-            rhs.append(lower[act_low])
-        if k_u:
-            rows.append(k_e + act_up)
-            rhs.append(upper[act_up])
-        if not rows:
-            if self._chol_P is None:
-                return None
-            z = cho_solve(self._chol_P, -q)
-            return z, np.zeros(0), np.zeros(self.n_i)
-        idx = np.concatenate(rows)
-        h = np.concatenate(rhs)
-        G = self.A_all[idx]
-        k = len(idx)
-
-        if self._polish_gram is not None:
-            S = self._polish_gram[np.ix_(idx, idx)] + _POLISH_DELTA * np.eye(k)
-            try:
-                cS = cho_factor(S)
-            except (np.linalg.LinAlgError, ValueError):
-                cS = None
-            if cS is not None:
-                Pinv_q = cho_solve(self._chol_P, q)
-                nu = cho_solve(cS, -(G @ Pinv_q) - h)
-                z = -Pinv_q - self._polish_Y[:, idx] @ nu
-                for _ in range(3):
-                    r1 = -q - self.P @ z - G.T @ nu
-                    r2 = h - G @ z
-                    dnu = cho_solve(cS, G @ cho_solve(self._chol_P, r1) - r2)
-                    dz = cho_solve(self._chol_P, r1 - G.T @ dnu)
-                    z = z + dz
-                    nu = nu + dnu
+        pinned = lower == upper
+        # a row cannot be held at an infinite bound
+        low = (low & np.isfinite(lower)) | pinned
+        up = up & np.isfinite(upper) & ~pinned
+        gram = self._polish_gram
+        if gram is not None:
+            Pinv_q = cho_solve(self._chol_P, q, check_finite=False)
+            a = self.A_all @ Pinv_q
+        for sweep in range(max_sweeps):
+            rows_l = np.flatnonzero(low)
+            rows_u = np.flatnonzero(up)
+            idx = np.concatenate([np.arange(self.n_e), self.n_e + rows_l,
+                                  self.n_e + rows_u])
+            h = np.concatenate([b_eq, lower[rows_l], upper[rows_u]])
+            z = None
+            nu = None if gram is None else self._gram_solve(idx, -a[idx] - h)
+            if nu is None:
+                z, nu = self._kkt_solve(q, idx, h)
+                Az = self.A_in @ z if self.n_i else np.zeros(0)
             else:
-                z = nu = None
-        else:
-            z = nu = None
+                Az = -a[self.n_e:] - gram[self.n_e:, idx] @ nu
+            if not np.all(np.isfinite(nu)):
+                return None
+            k_l = self.n_e + len(rows_l)
+            y = np.zeros(self.n_i)
+            y[rows_l] = nu[self.n_e : k_l]
+            y[rows_u] = nu[k_l:]
+
+            scale = max(1.0, float(np.max(np.abs(Az), initial=0.0)))
+            tol = 1e-11 * scale
+            # a low-pinned row wants y <= 0, an up-pinned row y >= 0
+            new_low = (low & ~((y > tol) & ~pinned)) | (Az < lower - tol)
+            new_up = ((up & ~(y < -tol)) | (Az > upper + tol)) & ~new_low
+            if (sweep == max_sweeps - 1 or (np.array_equal(new_low, low)
+                                            and np.array_equal(new_up, up))):
+                break
+            low, up = new_low, new_up
 
         if z is None:
-            # general path: regularized KKT with iterative refinement
-            K = np.zeros((self.n + k, self.n + k))
-            K[: self.n, : self.n] = self.P + _POLISH_DELTA * np.eye(self.n)
-            K[: self.n, self.n :] = G.T
-            K[self.n :, : self.n] = G
-            K[self.n :, self.n :] = -_POLISH_DELTA * np.eye(k)
-            try:
-                lu = lu_factor(K)
-            except (np.linalg.LinAlgError, ValueError):
-                return None
-            rhs_full = np.concatenate([-q, h])
-            sol = lu_solve(lu, rhs_full)
-            z, nu = sol[: self.n], sol[self.n :]
-            for _ in range(3):
-                r1 = -q - self.P @ z - G.T @ nu
-                r2 = h - G @ z
-                d = lu_solve(lu, np.concatenate([r1, r2]))
-                z = z + d[: self.n]
-                nu = nu + d[self.n :]
-
+            z = -Pinv_q - self._polish_Y[:, idx] @ nu
         if not np.all(np.isfinite(z)):
             return None
-        nu_eq = nu[:k_e]
-        y = np.zeros(self.n_i)
-        if k_l:
-            y[act_low] = nu[k_e : k_e + k_l]
-        if k_u:
-            y[act_up] = nu[k_e + k_l :]
-        return z, nu_eq, y
+        return z, nu[: self.n_e], y, low, up
+
+    def _gram_solve(self, idx, rhs):
+        """Multipliers from S nu = rhs with S the Gram block of rows idx.
+
+        S + delta I is factored and the solution refined against S itself;
+        returns None when the factorization fails.
+        """
+        if not len(idx):
+            return np.zeros(0)
+        S = self._polish_gram[np.ix_(idx, idx)]
+        # LAPACK directly: a sweep's blocks are small, so call overhead counts
+        cS, info = dpotrf(S + _POLISH_DELTA * np.eye(len(idx)), clean=False)
+        if info:
+            return None
+        nu = dpotrs(cS, rhs)[0]
+        for _ in range(3):
+            nu = nu + dpotrs(cS, rhs - S @ nu)[0]
+        return nu
+
+    def _kkt_solve(self, q, idx, h):
+        """Regularized KKT solve with iterative refinement; returns (z, nu).
+
+        The path for singular P, and for Gram blocks too ill-conditioned for
+        a Cholesky factorization.
+        """
+        G = self.A_all[idx]
+        k = len(idx)
+        K = np.zeros((self.n + k, self.n + k))
+        K[: self.n, : self.n] = self.P + _POLISH_DELTA * np.eye(self.n)
+        K[: self.n, self.n :] = G.T
+        K[self.n :, : self.n] = G
+        K[self.n :, self.n :] = -_POLISH_DELTA * np.eye(k)
+        lu = lu_factor(K, check_finite=False)
+        sol = lu_solve(lu, np.concatenate([-q, h]), check_finite=False)
+        z, nu = sol[: self.n], sol[self.n :]
+        for _ in range(3):
+            r1 = -q - self.P @ z - G.T @ nu
+            r2 = h - G @ z
+            d = lu_solve(lu, np.concatenate([r1, r2]), check_finite=False)
+            z = z + d[: self.n]
+            nu = nu + d[self.n :]
+        return z, nu
 
     # ---------------- ADMM ----------------
 
@@ -402,57 +420,72 @@ class QpSolver:
 
     def solve(self, q, b_eq=None, lower=None, upper=None, warm_start=None,
               tol_kkt=1e-8, tol_feas=1e-8, max_iter=20000):
+        """Solve for one (q, b_eq, lower, upper) on the bound matrices.
+
+        The active-set solve runs first, from the working set of the previous
+        solve when that one certified, or from the empty set when there are
+        no inequality rows. ADMM runs only when there is no such seed or its
+        result does not certify; warm_start, if given, is the ADMM starting
+        point. q, b_eq and warm_start must be finite, the bounds free of NaN.
+        """
         if max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-        q = _vec(q, self.n, "q")
+        q = _finite(_vec(q, self.n, "q"), "q")
         if self.n_e:
             if b_eq is None:
                 raise ValueError("solver has equality rows but b_eq is None")
-            b_eq = _vec(b_eq, self.n_e, "b_eq")
+            b_eq = _finite(_vec(b_eq, self.n_e, "b_eq"), "b_eq")
         elif b_eq is not None and len(np.atleast_1d(b_eq)):
             raise ValueError("b_eq given but solver has no equality rows")
+        else:
+            b_eq = np.zeros(0)
         if self.n_i:
             lower = np.full(self.n_i, -np.inf) if lower is None else _vec(lower, self.n_i, "lower")
             upper = np.full(self.n_i, np.inf) if upper is None else _vec(upper, self.n_i, "upper")
+            if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+                raise ValueError("bounds must not contain NaN")
             if np.any(lower > upper):
                 raise ValueError("lower must be <= upper elementwise")
         else:
             lower = upper = np.zeros(0)
+        if warm_start is not None:
+            warm_start = _finite(_vec(warm_start, self.n, "warm_start"), "warm_start")
 
-        make = lambda z, nu, y, status, kkt, iters: QpSolution(
-            z_star=z, objective=float(0.5 * z @ self.P @ z + q @ z),
-            status=status, kkt_residual=float(kkt), iterations=iters,
-            multipliers_eq=nu, multipliers_in=y,
-        )
+        def finish(z, nu, y, kkt, feas, iters, path, working_set=None,
+                   failure="max_iterations"):
+            # only a certified result seeds the next solve
+            certified = kkt <= tol_kkt and feas <= tol_feas
+            if not certified:
+                path, working_set = "uncertified", None
+            self._working_set = working_set
+            return QpSolution(
+                z_star=z, objective=float(0.5 * z @ self.P @ z + q @ z),
+                status="optimal" if certified else failure,
+                kkt_residual=float(kkt), iterations=iters,
+                multipliers_eq=nu, multipliers_in=y, path=path,
+            )
 
         # equality system consistency gates everything downstream
-        if self.n_e:
-            rank_aug = np.linalg.matrix_rank(np.column_stack([self.A_eq, b_eq]))
-            if rank_aug > self._rank_A_eq:
-                z, *_ = np.linalg.lstsq(self.A_eq, b_eq, rcond=None)
-                kkt, _ = self._kkt_residual(z, np.zeros(self.n_e),
-                                            np.zeros(self.n_i), q, b_eq, lower, upper)
-                return make(z, np.zeros(self.n_e), np.zeros(self.n_i),
-                            "infeasible", kkt, 0)
+        if not self._eq_consistent(b_eq):
+            z, *_ = np.linalg.lstsq(self.A_eq, b_eq, rcond=None)
+            nu, y = np.zeros(self.n_e), np.zeros(self.n_i)
+            kkt, _ = self._kkt_residual(z, nu, y, q, b_eq, lower, upper)
+            return finish(z, nu, y, kkt, np.inf, 0, "uncertified", failure="infeasible")
 
-        if self.m_rows == 0:
-            z = _min_norm_solve(self.P, q)
-            kkt, feas = self._kkt_residual(z, np.zeros(0), np.zeros(0), q,
-                                           None, lower, upper)
-            status = "optimal" if kkt <= tol_kkt else "max_iterations"
-            return make(z, np.zeros(0), np.zeros(0), status, kkt, 1)
-
-        # equality-only problems collapse to a single saddle-point solve
-        if self.n_i == 0:
-            polished = self._polish(q, b_eq, lower, upper, np.zeros(0))
+        seed = self._working_set
+        if not self.n_i:
+            seed = (np.zeros(0, dtype=bool), np.zeros(0, dtype=bool))
+        if seed is not None:
+            polished = self._polish(q, b_eq, lower, upper, *seed)
             if polished is not None:
-                z, nu, y = polished
+                z, nu, y, low, up = polished
                 kkt, feas = self._kkt_residual(z, nu, y, q, b_eq, lower, upper)
                 if kkt <= tol_kkt and feas <= tol_feas:
-                    return make(z, nu, y, "optimal", kkt, 1)
+                    self._remember_iterate(z, nu, y)
+                    return finish(z, nu, y, kkt, feas, 0, "warm", (low, up))
 
-        l_all = np.concatenate([b_eq, lower]) if self.n_e else lower
-        u_all = np.concatenate([b_eq, upper]) if self.n_e else upper
+        l_all = np.concatenate([b_eq, lower])
+        u_all = np.concatenate([b_eq, upper])
         l_s = self.E * np.where(np.isfinite(l_all), l_all, 0.0)
         l_s = np.where(np.isfinite(l_all), l_s, -np.inf)
         u_s = self.E * np.where(np.isfinite(u_all), u_all, 0.0)
@@ -464,7 +497,7 @@ class QpSolver:
         rho = np.where(eq_mask, _RHO_EQ_SCALE * rho_base, rho_base)
 
         if warm_start is not None:
-            x = _vec(warm_start, self.n, "warm_start") / self.D
+            x = warm_start / self.D
             y = np.zeros(self.m_rows)
         elif self._last_x is not None:
             x = self._last_x.copy()
@@ -482,7 +515,7 @@ class QpSolver:
 
         for it in range(1, max_iter + 1):
             rhs = _SIGMA * x - q_s + self.A_s.T @ (rho * zc - y)
-            x_t = cho_solve(factor, rhs)
+            x_t = cho_solve(factor, rhs, check_finite=False)
             z_t = self.A_s @ x_t
             x = _ALPHA * x_t + (1.0 - _ALPHA) * x
             z_mix = _ALPHA * z_t + (1.0 - _ALPHA) * zc
@@ -496,7 +529,8 @@ class QpSolver:
                 yin_u = y_u[self.n_e :]
                 kkt, feas = self._kkt_residual(z_u, nu_u, yin_u, q, b_eq, lower, upper)
                 if best is None or kkt < best[0]:
-                    best = (kkt, z_u.copy(), nu_u.copy(), yin_u.copy())
+                    best = (kkt, z_u.copy(), nu_u.copy(), yin_u.copy(),
+                            (yin_u < 0, yin_u > 0))
                 raw_ok = kkt <= tol_kkt and feas <= tol_feas
                 # polish first: a certified polish is near-exact, while a raw
                 # iterate merely sits at the tolerance boundary. Ill-conditioned
@@ -505,17 +539,18 @@ class QpSolver:
                 # land close) and periodically after that.
                 if (raw_ok or kkt <= polish_gate or it == _CHECK_EVERY
                         or it % _POLISH_EVERY == 0):
-                    polished = self._polish(q, b_eq, lower, upper, yin_u)
+                    polished = self._polish(q, b_eq, lower, upper,
+                                            yin_u < 0, yin_u > 0)
                     if polished is not None:
-                        pz, pnu, py = polished
+                        pz, pnu, py, plow, pup = polished
                         pkkt, pfeas = self._kkt_residual(pz, pnu, py, q, b_eq,
                                                          lower, upper)
                         if pkkt <= tol_kkt and pfeas <= tol_feas:
-                            best = (pkkt, pz, pnu, py)
+                            best = (pkkt, pz, pnu, py, (plow, pup))
                             iters_done = it
                             break
                         if pkkt < best[0]:
-                            best = (pkkt, pz, pnu, py)
+                            best = (pkkt, pz, pnu, py, (plow, pup))
                     polish_gate = max(polish_gate / 10.0, tol_kkt)
                 if raw_ok:
                     iters_done = it
@@ -537,13 +572,15 @@ class QpSolver:
                     factor = self._admm_factor(rho)
                     refactors += 1
 
-        kkt, z_u, nu_u, yin_u = best
+        kkt, z_u, nu_u, yin_u, working_set = best
         _, feas = self._kkt_residual(z_u, nu_u, yin_u, q, b_eq, lower, upper)
-        self._last_x = z_u / self.D
-        self._last_y = np.concatenate([nu_u, yin_u]) / np.where(self.E > 0, self.E, 1.0) \
-            if self.m_rows else np.zeros(0)
-        status = "optimal" if (kkt <= tol_kkt and feas <= tol_feas) else "max_iterations"
-        return make(z_u, nu_u, yin_u, status, kkt, iters_done)
+        self._remember_iterate(z_u, nu_u, yin_u)
+        return finish(z_u, nu_u, yin_u, kkt, feas, iters_done, "admm", working_set)
+
+    def _remember_iterate(self, z, nu, y):
+        """Keep a solution, in scaled space, as the next ADMM starting point."""
+        self._last_x = z / self.D
+        self._last_y = np.concatenate([nu, y]) / np.where(self.E > 0, self.E, 1.0)
 
 
 def solve(problem: QpProblem, warm_start=None, tol_kkt=1e-8, tol_feas=1e-8,

@@ -343,6 +343,56 @@ class TestClosedLoop(ScenarioMixin):
         assert ctrl.fallback_count == 1
         np.testing.assert_allclose(u0, [0.25])
 
+    def test_nonfinite_sample_rejected_at_observe(self):
+        # a NaN measurement used to reach the solver and make the next
+        # compute raise from inside scipy
+        _, sys, part, tpl = self.build(seed=29, lambda_g=1.0, lambda_y=1e4,
+                                       u_lower=-1.0, u_upper=1.0)
+        ctrl = DeePCController(tpl)
+        for _ in range(tpl.config.t_ini):
+            ctrl.observe([0.25], [0.0])
+        u_ini, y_ini = ctrl.history.u_ini, ctrl.history.y_ini
+        with pytest.raises(ValueError, match="finite"):
+            ctrl.observe([0.25], [np.nan])
+        with pytest.raises(ValueError, match="finite"):
+            ctrl.observe([np.inf], [0.0])
+        np.testing.assert_array_equal(ctrl.history.u_ini, u_ini)
+        np.testing.assert_array_equal(ctrl.history.y_ini, y_ini)
+        u0, res, fell_back = ctrl.compute(np.ones((8, 1)))
+        assert not fell_back
+        assert res.solver_status == "optimal"
+        assert -1.0 <= u0[0] <= 1.0
+
+    def test_nonfinite_sample_rejected_at_prime(self):
+        _, sys, part, tpl = self.build(seed=31)
+        ctrl = DeePCController(tpl)
+        outputs = np.zeros((tpl.config.t_ini, 1))
+        outputs[1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            ctrl.prime(np.zeros((tpl.config.t_ini, 1)), outputs)
+        assert len(ctrl.history) == 0
+
+    def test_nonfinite_history_rejected_by_solver(self):
+        _, sys, part, tpl = self.build(seed=31, lambda_g=1.0, lambda_y=1e4)
+        hist = tpl.make_history()
+        for _ in range(tpl.config.t_ini):
+            hist.push([np.nan], [0.0])
+        with pytest.raises(ValueError, match="b_eq must be finite"):
+            step(tpl, hist, np.zeros((8, 1)))
+
+    def test_step_reports_solver_path(self):
+        _, sys, part, tpl = self.build(seed=29, lambda_g=1.0, lambda_y=1e4,
+                                       u_lower=-1.0, u_upper=1.0)
+        ctrl = DeePCController(tpl)
+        for _ in range(tpl.config.t_ini):
+            ctrl.observe([0.25], [0.0])
+        _, first, _ = ctrl.compute(np.ones((8, 1)))
+        _, second, _ = ctrl.compute(np.ones((8, 1)))
+        assert (first.solver_path, second.solver_path) == ("admm", "warm")
+        assert second.iterations == 0
+        np.testing.assert_allclose(second.decision_vector, first.decision_vector,
+                                   atol=1e-8)
+
     def test_prime_fills_history(self):
         _, sys, part, tpl = self.build(seed=31)
         ctrl = DeePCController(tpl)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from softdeepc import experiments
 from softdeepc.config import ExperimentConfig
 from softdeepc.experiments import (
     build_controller,
@@ -22,7 +23,7 @@ from softdeepc.experiments import (
     run_circle,
     run_fixed_point,
 )
-from softdeepc.hankel import is_persistently_exciting
+from softdeepc.hankel import build_hankel, is_persistently_exciting, partition_past_future
 from softdeepc.runlog import StageSpec
 
 
@@ -152,6 +153,31 @@ class TestBuildController:
         Up_Uf = np.vstack([controller.template.Up, controller.template.Uf])
         m_rows = 3 * (cfg.t_ini + cfg.horizon)
         assert np.linalg.matrix_rank(Up_Uf) == m_rows
+
+    def test_energy_rule_factorizes_once_at_smallest_feasible_rank(self, monkeypatch):
+        cfg = small_cfg(reduction_rank=0, reduction_energy=0.9)
+        dataset = collect_dataset(cfg, seed=0)
+        calls = []
+        real = experiments.factorize_and_condense
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "factorize_and_condense", counted)
+        controller = build_controller(cfg, dataset)
+        assert len(calls) == 1
+        # an independent factorization one rank lower loses the input rows
+        depth = cfg.t_ini + cfg.horizon
+        partition = partition_past_future(build_hankel(dataset.inputs, depth),
+                                          build_hankel(dataset.outputs, depth),
+                                          cfg.t_ini, cfg.horizon)
+        r = controller.template.n_g
+        lower = real(partition, r=r - 1)
+        m_rows = 3 * depth
+        assert np.linalg.matrix_rank(np.vstack([lower.Up, lower.Uf])) < m_rows
+        np.testing.assert_allclose(controller.template.Uf, real(partition, r=r).Uf,
+                                   rtol=0, atol=0)
 
 
 class TestCircleGeometry:

@@ -335,3 +335,123 @@ class TestSolverReuse:
         solver = QpSolver(np.eye(2), A_eq=[[1.0, 0.0]])
         with pytest.raises(ValueError, match="b_eq"):
             solver.solve(np.zeros(2))
+
+    def test_nonfinite_inputs_rejected(self):
+        solver = QpSolver(np.eye(2), A_eq=[[1.0, 0.0]], A_in=np.eye(2))
+        with pytest.raises(ValueError, match="q must be finite"):
+            solver.solve([np.nan, 0.0], [0.0])
+        with pytest.raises(ValueError, match="b_eq must be finite"):
+            solver.solve(np.zeros(2), [np.inf])
+        with pytest.raises(ValueError, match="NaN"):
+            solver.solve(np.zeros(2), [0.0], lower=[np.nan, 0.0])
+
+
+class TestWarmPath:
+    """Repeated solves seeded from the last certified working set."""
+
+    @staticmethod
+    def oracle_check(sol, P, q, A_eq, b_eq, A_in, lower, upper):
+        assert sol.status == "optimal"
+        z_ref, obj_ref = active_set_oracle(P, q, A_eq, b_eq, A_in, lower, upper)
+        np.testing.assert_allclose(sol.z_star, z_ref, atol=1e-6)
+        assert sol.objective == pytest.approx(obj_ref, abs=1e-8)
+
+    def test_drifting_sequence_matches_one_shot_and_oracle(self):
+        rng = np.random.default_rng(71)
+        n, n_e, n_i = 10, 2, 6
+        base = random_strictly_convex(rng, n, n_e, n_i)
+        solver = QpSolver(base.P, base.A_eq, base.A_in)
+        q = base.q.copy()
+        z0 = rng.standard_normal(n)
+        half_width = rng.uniform(0.05, 0.5, size=n_i)
+        paths = []
+        for _ in range(8):
+            # bounds stay centred on a point that meets the equalities
+            q = q + 0.2 * rng.standard_normal(n)
+            z0 = z0 + 0.05 * rng.standard_normal(n)
+            half_width = half_width * rng.uniform(0.9, 1.1, size=n_i)
+            b = base.A_eq @ z0
+            lower = base.A_in @ z0 - half_width
+            upper = base.A_in @ z0 + half_width
+            reused = solver.solve(q, b, lower, upper)
+            paths.append(reused.path)
+            oneshot = solve(QpProblem(P=base.P, q=q, A_eq=base.A_eq, b_eq=b,
+                                      A_in=base.A_in, lower=lower, upper=upper))
+            assert oneshot.path == "admm"
+            np.testing.assert_allclose(reused.z_star, oneshot.z_star, atol=1e-6)
+            assert reused.objective == pytest.approx(oneshot.objective, abs=1e-8)
+            self.oracle_check(reused, base.P, q, base.A_eq, b, base.A_in,
+                              lower, upper)
+        assert paths[0] == "admm"
+        assert paths.count("warm") >= 6
+        assert all(p in ("warm", "admm") for p in paths)
+
+    def test_warm_path_reports_zero_iterations(self):
+        rng = np.random.default_rng(72)
+        prob = random_strictly_convex(rng, n=8, n_e=2, n_i=5)
+        solver = QpSolver(prob.P, prob.A_eq, prob.A_in)
+        cold = solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
+        warm = solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
+        assert (cold.path, warm.path) == ("admm", "warm")
+        assert cold.iterations > 0
+        assert warm.iterations == 0
+        np.testing.assert_allclose(warm.z_star, cold.z_star, atol=1e-8)
+
+    def test_drastic_cost_change_falls_back_to_admm(self):
+        rng = np.random.default_rng(56)
+        prob = random_strictly_convex(rng, n=10, n_e=2, n_i=8)
+        solver = QpSolver(prob.P, prob.A_eq, prob.A_in)
+        first = solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
+        assert first.status == "optimal"
+        q = -prob.q
+        sol = solver.solve(q, prob.b_eq, prob.lower, prob.upper)
+        # the previous working set is wrong for the new cost
+        assert np.any(np.sign(sol.multipliers_in) != np.sign(first.multipliers_in))
+        assert sol.path == "admm"
+        assert sol.iterations > 0
+        self.oracle_check(sol, prob.P, q, prob.A_eq, prob.b_eq, prob.A_in,
+                          prob.lower, prob.upper)
+
+    def test_uncertified_solve_does_not_seed_the_next(self):
+        solver = QpSolver(np.eye(1), A_eq=[[1.0]], A_in=[[1.0]])
+        first = solver.solve([0.0], [0.5], [0.0], [1.0])
+        assert (first.status, first.path) == ("optimal", "admm")
+        assert solver.solve([0.1], [0.5], [0.0], [1.0]).path == "warm"
+        # the equality leaves the box: primal infeasible
+        bad = solver.solve([0.0], [5.0], [0.0], [1.0], max_iter=300)
+        assert (bad.status, bad.path) == ("max_iterations", "uncertified")
+        again = solver.solve([0.0], [0.5], [0.0], [1.0])
+        assert (again.status, again.path) == ("optimal", "admm")
+        assert again.z_star[0] == pytest.approx(0.5, abs=1e-8)
+
+    def test_warm_set_drops_rows_whose_bound_became_infinite(self):
+        solver = QpSolver(np.eye(2), A_in=np.eye(2))
+        q = np.array([-3.0, 0.5])
+        first = solver.solve(q, lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        np.testing.assert_allclose(first.z_star, [1.0, -0.5], atol=1e-8)
+        opened = solver.solve(q, lower=[-1.0, -1.0], upper=[np.inf, 1.0])
+        assert (opened.status, opened.path) == ("optimal", "warm")
+        np.testing.assert_allclose(opened.z_star, [3.0, -0.5], atol=1e-8)
+
+    def test_rank_deficient_equalities_classified_after_warm_solve(self):
+        # the second equality row is twice the first
+        A_eq = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+        solver = QpSolver(np.eye(3), A_eq=A_eq, A_in=np.eye(3))
+        lo, hi = -np.ones(3), np.ones(3)
+        q = np.array([0.4, -0.2, 3.0])
+
+        def expected(b):
+            # z1 + z2 = b with z1 - z2 = q2 - q1; z3 clipped at its lower bound
+            return np.array([(b + q[1] - q[0]) / 2, (b - q[1] + q[0]) / 2, -1.0])
+
+        first = solver.solve(q + 0.1, [0.5, 1.0], lo, hi)
+        assert (first.status, first.path) == ("optimal", "admm")
+        warm = solver.solve(q, [0.4, 0.8], lo, hi)
+        assert (warm.status, warm.path) == ("optimal", "warm")
+        np.testing.assert_allclose(warm.z_star, expected(0.4), atol=1e-8)
+        bad = solver.solve(q, [0.4, 1.0], lo, hi)
+        assert (bad.status, bad.path) == ("infeasible", "uncertified")
+        again = solver.solve(q, [0.3, 0.6], lo, hi)
+        assert (again.status, again.path) == ("optimal", "admm")
+        np.testing.assert_allclose(again.z_star, expected(0.3), atol=1e-8)
+        assert solver.solve(q, [0.3, 0.6 + 1e-6], lo, hi).status == "infeasible"
