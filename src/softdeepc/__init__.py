@@ -14,7 +14,6 @@ from .controller import (
     DeePCStepResult,
     DeePCTemplate,
     HistoryBuffer,
-    advance,
     assemble,
     step,
 )
@@ -55,8 +54,8 @@ from .plants import (
     SoftArmPlant,
     arm_sim_step,
 )
-from .qp import QpProblem, QpSolution, QpSolver, solve
-from .reduction import SvdCondensed, factorize_and_condense, select_rank
+from .qp import QpSolution, QpSolver
+from .reduction import factorize_and_condense, select_rank
 from .runlog import (
     RunLog,
     StageSpec,
@@ -85,15 +84,12 @@ __all__ = [
     "HankelPartition",
     "HistoryBuffer",
     "LtiPlant",
-    "QpProblem",
     "QpSolution",
     "QpSolver",
     "RunLog",
     "SoftArmPlant",
     "StageSpec",
-    "SvdCondensed",
     "TrajectoryDataset",
-    "advance",
     "arm_sim_step",
     "assemble",
     "baseline_control",
@@ -125,6 +121,5 @@ __all__ = [
     "run_fixed_point",
     "save_dataset",
     "select_rank",
-    "solve",
     "step",
 ]

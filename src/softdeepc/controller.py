@@ -4,15 +4,15 @@ Each control period solves, in the trajectory-combination variable g,
 
     min  (y - y_ref)' Qt (y - y_ref) + u' Rt u
          + lambda_y ||Yp g - y_ini||^2 + lambda_g ||g||^2
-    s.t. Up g = u_ini,   u_lo <= Uf g <= u_hi,   (optional Yf g bounds)
+    s.t. Up g = u_ini,   u_lo <= Uf g <= u_hi
 
 where u = Uf g and y = Yf g, and Qt/Rt repeat the per-step weights over the
 horizon. The output-consistency slack sigma_y = Yp g - y_ini is eliminated
 analytically, so the QP decision variable is g alone; lambda_y = inf turns
 the slack off entirely and enforces Yp g = y_ini as a hard equality.
 
-Works identically on the raw Hankel partition (g has one entry per data
-column) and on the SVD-condensed matrix (g has r entries).
+The data is one HankelPartition, raw (g has one entry per data window) or
+SVD-condensed (g has r entries); only the column count differs.
 """
 
 import math
@@ -23,7 +23,6 @@ import numpy as np
 
 from .hankel import HankelPartition
 from .qp import QpSolver
-from .reduction import SvdCondensed
 
 __all__ = [
     "DeePCConfig",
@@ -32,7 +31,6 @@ __all__ = [
     "DeePCTemplate",
     "assemble",
     "step",
-    "advance",
     "DeePCController",
 ]
 
@@ -71,8 +69,6 @@ class DeePCConfig:
     lambda_y: float = math.inf
     u_lower: object = -math.inf
     u_upper: object = math.inf
-    y_lower: object = None
-    y_upper: object = None
     tol_kkt: float = 1e-8
     tol_feas: float = 1e-8
     max_iter: int = 20000
@@ -92,17 +88,6 @@ class DeePCConfig:
         hi = np.broadcast_to(np.asarray(self.u_upper, dtype=float), (m,)).copy()
         if np.any(lo > hi):
             raise ValueError("u_lower must be <= u_upper elementwise")
-        return lo, hi
-
-    def output_bounds(self, p: int) -> tuple[np.ndarray, np.ndarray] | None:
-        if self.y_lower is None and self.y_upper is None:
-            return None
-        lo = (np.full(p, -np.inf) if self.y_lower is None
-              else np.broadcast_to(np.asarray(self.y_lower, dtype=float), (p,)).copy())
-        hi = (np.full(p, np.inf) if self.y_upper is None
-              else np.broadcast_to(np.asarray(self.y_upper, dtype=float), (p,)).copy())
-        if np.any(lo > hi):
-            raise ValueError("y_lower must be <= y_upper elementwise")
         return lo, hi
 
 
@@ -150,11 +135,6 @@ class HistoryBuffer:
         return np.concatenate(list(self._y))
 
 
-def advance(history: HistoryBuffer, applied_input, measured_output):
-    """Receding-horizon bookkeeping: evict oldest sample, append newest."""
-    history.push(applied_input, measured_output)
-
-
 @dataclass(frozen=True)
 class DeePCStepResult:
     """One receding-horizon solve; solver_path is the QpSolution path."""
@@ -178,18 +158,16 @@ class DeePCTemplate:
     factorizations are cached inside the bound QpSolver).
     """
 
-    def __init__(self, config: DeePCConfig, data):
-        if not isinstance(data, (HankelPartition, SvdCondensed)):
-            raise TypeError(
-                f"data must be HankelPartition or SvdCondensed, got {type(data).__name__}"
-            )
+    def __init__(self, config: DeePCConfig, data: HankelPartition):
+        if not isinstance(data, HankelPartition):
+            raise TypeError(f"data must be a HankelPartition, got {type(data).__name__}")
         if data.t_ini != config.t_ini or data.horizon != config.horizon:
             raise ValueError(
                 f"data windows (t_ini={data.t_ini}, horizon={data.horizon}) do not "
                 f"match config (t_ini={config.t_ini}, horizon={config.horizon})"
             )
         self.config = config
-        self.condensed = isinstance(data, SvdCondensed)
+        self.condensed = data.condensed
         if self.condensed and config.lambda_g == 0.0:
             raise ValueError(
                 "lambda_g must be positive with condensed data: the reduced "
@@ -229,23 +207,13 @@ class DeePCTemplate:
         u_lo, u_hi = config.input_bounds(self.m)
         self.u_lower = u_lo
         self.u_upper = u_hi
-        rows = [self.Uf]
-        lo = [np.tile(u_lo, N)]
-        hi = [np.tile(u_hi, N)]
-        y_bounds = config.output_bounds(self.p)
-        if y_bounds is not None:
-            rows.append(self.Yf)
-            lo.append(np.tile(y_bounds[0], N))
-            hi.append(np.tile(y_bounds[1], N))
-        lo = np.concatenate(lo)
-        hi = np.concatenate(hi)
-        if np.all(np.isinf(lo)) and np.all(np.isinf(hi)):
+        if np.all(np.isinf(u_lo)) and np.all(np.isinf(u_hi)):
             self.A_in = None
             self.box_lower = self.box_upper = None
         else:
-            self.A_in = np.vstack(rows)
-            self.box_lower = lo
-            self.box_upper = hi
+            self.A_in = self.Uf
+            self.box_lower = np.tile(u_lo, N)
+            self.box_upper = np.tile(u_hi, N)
 
         self.solver = QpSolver(self.P, self.A_eq, self.A_in)
 
@@ -355,5 +323,5 @@ class DeePCController:
         u = np.asarray(applied_input, dtype=float).reshape(self.template.m)
         y = np.asarray(measured_output, dtype=float).reshape(self.template.p)
         _require_finite(u, y)
-        advance(self.history, u, y)
+        self.history.push(u, y)
         self._last_applied = u.copy()

@@ -176,8 +176,7 @@ def _raise_rank_until_feasible(partition, energy_fraction):
     columns of the full one, and the stack's numerical rank comes from the
     same singular values.
     """
-    shape = ((partition.input_dim + partition.output_dim) * partition.depth,
-             partition.columns)
+    shape = partition.matrix.shape
     full = factorize_and_condense(partition, r=min(shape))
     s = full.singular_values
     stack_rank = singular_value_rank(s, shape)
@@ -185,10 +184,10 @@ def _raise_rank_until_feasible(partition, energy_fraction):
     target = min(m_rows, partition.columns)
 
     def condense(r):
-        return dataclasses.replace(full, condensed=full.condensed[:, :r], rank_used=r)
+        return dataclasses.replace(full, matrix=full.matrix[:, :r])
 
     def input_rank(r):
-        return numerical_rank(full.condensed[:m_rows, :r])
+        return numerical_rank(full.matrix[:m_rows, :r])
 
     r = min(select_rank(s, energy_fraction), stack_rank)
     if input_rank(r) >= target:
@@ -214,13 +213,13 @@ def build_controller(cfg: ExperimentConfig, dataset: TrajectoryDataset) -> DeePC
     unmodeled gain errors.
     """
     depth = cfg.t_ini + cfg.horizon
-    Hu = build_hankel(dataset.inputs, depth)
-    Hy = build_hankel(dataset.outputs, depth)
-    partition = partition_past_future(Hu, Hy, cfg.t_ini, cfg.horizon)
+    # the partition stacks copies of both Hankels; they are freed here
+    partition = partition_past_future(build_hankel(dataset.inputs, depth),
+                                      build_hankel(dataset.outputs, depth),
+                                      cfg.t_ini, cfg.horizon)
     if cfg.use_reduction:
         if cfg.reduction_rank > 0:
-            stack = partition.stacked()
-            r = min(cfg.reduction_rank, min(stack.shape))
+            r = min(cfg.reduction_rank, *partition.matrix.shape)
             data = factorize_and_condense(partition, r=r)
         else:
             data = _raise_rank_until_feasible(partition, cfg.reduction_energy)

@@ -3,6 +3,10 @@
 Input/output records are stored as (T, dim) arrays, one row per sample.
 Hankel columns stack L consecutive samples time-major: all channels of
 sample i sit in rows [i*d, (i+1)*d) of the column.
+
+HankelPartition is the one data-matrix type the controller consumes: the
+stacked [Up; Uf; Yp; Yf] rows, either raw (one column per data window) or
+SVD-condensed to r columns by the reduction module.
 """
 
 from dataclasses import dataclass
@@ -103,10 +107,6 @@ class BlockHankel:
     def columns(self) -> int:
         return self.matrix.shape[1]
 
-    def block_rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows for block-row indices [start, stop)."""
-        return self.matrix[start * self.signal_dim : stop * self.signal_dim]
-
 
 def build_hankel(signal, depth: int) -> BlockHankel:
     """Arrange a (T, d) signal into its depth-L block Hankel matrix.
@@ -152,39 +152,58 @@ def is_persistently_exciting(inputs, order: int) -> tuple[bool, int]:
 
 @dataclass(frozen=True)
 class HankelPartition:
-    """Past/future split of the input and output Hankel matrices.
+    """The data matrix [Up; Uf; Yp; Yf] of a past/future split.
 
-    Up/Yp hold the first t_ini block rows, Uf/Yf the last `horizon` block
-    rows, of the depth-(t_ini + horizon) Hankel matrices. All blocks share
-    the column count K = T - L + 1.
+    Rows stack the depth-(t_ini + horizon) input Hankel over the output
+    Hankel, so Up/Yp are the first t_ini block rows of each and Uf/Yf the
+    last `horizon`. Raw data has one column per data window (T - L + 1).
+    SVD-condensed data (reduction.factorize_and_condense) keeps the rows and
+    has r columns; singular_values then holds the spectrum of the raw matrix,
+    and is None for raw data.
     """
 
-    Up: np.ndarray
-    Uf: np.ndarray
-    Yp: np.ndarray
-    Yf: np.ndarray
+    matrix: np.ndarray
     input_dim: int
     output_dim: int
     t_ini: int
     horizon: int
+    singular_values: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("Up", "Uf", "Yp", "Yf"):
-            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=float)))
-        m, p = self.input_dim, self.output_dim
-        expected = {
-            "Up": m * self.t_ini,
-            "Uf": m * self.horizon,
-            "Yp": p * self.t_ini,
-            "Yf": p * self.horizon,
-        }
-        cols = self.Up.shape[1]
-        for name, rows in expected.items():
-            block = getattr(self, name)
-            if block.shape != (rows, cols):
+        object.__setattr__(self, "matrix", _freeze(np.asarray(self.matrix, dtype=float)))
+        rows = (self.input_dim + self.output_dim) * self.depth
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != rows or self.columns < 1:
+            raise ValueError(
+                f"matrix has shape {self.matrix.shape}, expected ({rows}, K >= 1)"
+            )
+        if self.singular_values is not None:
+            s = _freeze(np.asarray(self.singular_values, dtype=float))
+            object.__setattr__(self, "singular_values", s)
+            if s.ndim != 1:
+                raise ValueError("singular_values must be a 1-D array")
+            if np.any(s < 0) or np.any(np.diff(s) > 0):
+                raise ValueError("singular_values must be nonnegative and descending")
+            if self.columns > s.size:
                 raise ValueError(
-                    f"{name} has shape {block.shape}, expected ({rows}, {cols})"
+                    f"matrix has {self.columns} columns but only {s.size} singular values"
                 )
+
+    @property
+    def Up(self) -> np.ndarray:
+        return self.matrix[: self.input_dim * self.t_ini]
+
+    @property
+    def Uf(self) -> np.ndarray:
+        return self.matrix[self.input_dim * self.t_ini : self.input_dim * self.depth]
+
+    @property
+    def Yp(self) -> np.ndarray:
+        start = self.input_dim * self.depth
+        return self.matrix[start : start + self.output_dim * self.t_ini]
+
+    @property
+    def Yf(self) -> np.ndarray:
+        return self.matrix[self.input_dim * self.depth + self.output_dim * self.t_ini :]
 
     @property
     def depth(self) -> int:
@@ -192,11 +211,16 @@ class HankelPartition:
 
     @property
     def columns(self) -> int:
-        return self.Up.shape[1]
+        return self.matrix.shape[1]
 
-    def stacked(self) -> np.ndarray:
-        """The joint data matrix [Up; Uf; Yp; Yf]."""
-        return np.vstack([self.Up, self.Uf, self.Yp, self.Yf])
+    @property
+    def rank_used(self) -> int:
+        """The column count: r for condensed data."""
+        return self.columns
+
+    @property
+    def condensed(self) -> bool:
+        return self.singular_values is not None
 
 
 def partition_past_future(Hu: BlockHankel, Hy: BlockHankel, t_ini: int, horizon: int) -> HankelPartition:
@@ -215,10 +239,7 @@ def partition_past_future(Hu: BlockHankel, Hy: BlockHankel, t_ini: int, horizon:
             f"input Hankel has {Hu.columns} columns but output Hankel has {Hy.columns}"
         )
     return HankelPartition(
-        Up=Hu.block_rows(0, t_ini),
-        Uf=Hu.block_rows(t_ini, L),
-        Yp=Hy.block_rows(0, t_ini),
-        Yf=Hy.block_rows(t_ini, L),
+        matrix=np.vstack([Hu.matrix, Hy.matrix]),
         input_dim=Hu.signal_dim,
         output_dim=Hy.signal_dim,
         t_ini=t_ini,

@@ -22,7 +22,6 @@ __all__ = [
     "SoftArmPlant",
     "arm_sim_step",
     "LtiPlant",
-    "lti_step",
 ]
 
 U_MIN = 0.0
@@ -221,7 +220,3 @@ class LtiPlant:
         self.x = (np.zeros(self.state_dim) if x0 is None
                   else np.asarray(x0, dtype=float).reshape(self.state_dim))
 
-
-def lti_step(plant: LtiPlant, u) -> np.ndarray:
-    """Functional alias for LtiPlant.step."""
-    return plant.step(u)

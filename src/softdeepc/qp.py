@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-__all__ = ["QpProblem", "QpSolution", "QpSolver", "solve"]
+__all__ = ["QpSolution", "QpSolver"]
 
 _SIGMA = 1e-6       # primal regularization inside ADMM
 _ALPHA = 1.6        # over-relaxation
@@ -55,73 +55,18 @@ def _vec(x, n, name):
     return arr
 
 
-@dataclass(frozen=True)
-class QpProblem:
-    """Immutable dense QP data; P is symmetrized on construction."""
+def _rows(A, n, name):
+    """A read-only (rows, n) copy of a constraint matrix, or None.
 
-    P: np.ndarray
-    q: np.ndarray
-    A_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    A_in: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-
-    def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError(f"P must be square, got shape {P.shape}")
-        n = P.shape[0]
-        asym = np.max(np.abs(P - P.T), initial=0.0)
-        if asym > 1e-10 * max(1.0, np.max(np.abs(P), initial=0.0)):
-            raise ValueError(f"P is not symmetric (max asymmetry {asym:.3e})")
-        P = 0.5 * (P + P.T)
-        P.flags.writeable = False
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "q", _vec(self.q, n, "q"))
-        self.q.flags.writeable = False
-
-        if (self.A_eq is None) != (self.b_eq is None):
-            raise ValueError("A_eq and b_eq must be provided together")
-        if self.A_eq is not None:
-            A_eq = np.asarray(self.A_eq, dtype=float)
-            if A_eq.ndim != 2 or A_eq.shape[1] != n:
-                raise ValueError(f"A_eq must be (n_e, {n}), got {A_eq.shape}")
-            A_eq = np.ascontiguousarray(A_eq)
-            A_eq.flags.writeable = False
-            object.__setattr__(self, "A_eq", A_eq)
-            b = _vec(self.b_eq, A_eq.shape[0], "b_eq")
-            b.flags.writeable = False
-            object.__setattr__(self, "b_eq", b)
-
-        has_bounds = self.lower is not None or self.upper is not None
-        if (self.A_in is None) and has_bounds:
-            raise ValueError("lower/upper given without A_in")
-        if self.A_in is not None:
-            A_in = np.asarray(self.A_in, dtype=float)
-            if A_in.ndim != 2 or A_in.shape[1] != n:
-                raise ValueError(f"A_in must be (n_i, {n}), got {A_in.shape}")
-            A_in = np.ascontiguousarray(A_in)
-            A_in.flags.writeable = False
-            object.__setattr__(self, "A_in", A_in)
-            n_i = A_in.shape[0]
-            lo = np.full(n_i, -np.inf) if self.lower is None else _vec(self.lower, n_i, "lower")
-            hi = np.full(n_i, np.inf) if self.upper is None else _vec(self.upper, n_i, "upper")
-            if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-                raise ValueError("bounds must not contain NaN")
-            if np.any(lo > hi):
-                raise ValueError("lower must be <= upper elementwise")
-            lo.flags.writeable = False
-            hi.flags.writeable = False
-            object.__setattr__(self, "lower", lo)
-            object.__setattr__(self, "upper", hi)
-
-    @property
-    def n(self) -> int:
-        return self.P.shape[0]
-
-    def objective(self, z: np.ndarray) -> float:
-        return float(0.5 * z @ self.P @ z + self.q @ z)
+    A copy, so that freezing it leaves the caller's array writable.
+    """
+    if A is None:
+        return None
+    A = np.array(A, dtype=float, order="C")
+    if A.ndim != 2 or A.shape[1] != n:
+        raise ValueError(f"{name} must be (rows, {n}), got {A.shape}")
+    A.flags.writeable = False
+    return A
 
 
 @dataclass(frozen=True)
@@ -187,14 +132,17 @@ class QpSolver:
     """
 
     def __init__(self, P, A_eq=None, A_in=None):
-        probe = QpProblem(P=P, q=np.zeros(np.asarray(P).shape[0]),
-                          A_eq=A_eq,
-                          b_eq=None if A_eq is None else np.zeros(len(A_eq)),
-                          A_in=A_in)
-        self.P = probe.P
-        self.A_eq = probe.A_eq
-        self.A_in = probe.A_in
-        self.n = probe.n
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise ValueError(f"P must be square, got shape {P.shape}")
+        asym = np.max(np.abs(P - P.T), initial=0.0)
+        if asym > 1e-10 * max(1.0, np.max(np.abs(P), initial=0.0)):
+            raise ValueError(f"P is not symmetric (max asymmetry {asym:.3e})")
+        self.P = 0.5 * (P + P.T)
+        self.P.flags.writeable = False
+        self.n = P.shape[0]
+        self.A_eq = _rows(A_eq, self.n, "A_eq")
+        self.A_in = _rows(A_in, self.n, "A_in")
         self.n_e = 0 if self.A_eq is None else self.A_eq.shape[0]
         self.n_i = 0 if self.A_in is None else self.A_in.shape[0]
 
@@ -426,7 +374,8 @@ class QpSolver:
         solve when that one certified, or from the empty set when there are
         no inequality rows. ADMM runs only when there is no such seed or its
         result does not certify; warm_start, if given, is the ADMM starting
-        point. q, b_eq and warm_start must be finite, the bounds free of NaN.
+        point. q, b_eq and warm_start must be finite, the bounds free of NaN;
+        b_eq or bounds given to a solver without such rows are an error.
         """
         if max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -446,6 +395,8 @@ class QpSolver:
                 raise ValueError("bounds must not contain NaN")
             if np.any(lower > upper):
                 raise ValueError("lower must be <= upper elementwise")
+        elif any(b is not None and len(np.atleast_1d(b)) for b in (lower, upper)):
+            raise ValueError("lower/upper given but solver has no inequality rows")
         else:
             lower = upper = np.zeros(0)
         if warm_start is not None:
@@ -582,11 +533,3 @@ class QpSolver:
         self._last_x = z / self.D
         self._last_y = np.concatenate([nu, y]) / np.where(self.E > 0, self.E, 1.0)
 
-
-def solve(problem: QpProblem, warm_start=None, tol_kkt=1e-8, tol_feas=1e-8,
-          max_iter=20000) -> QpSolution:
-    """One-shot solve of a QpProblem (no factorization reuse)."""
-    solver = QpSolver(problem.P, problem.A_eq, problem.A_in)
-    return solver.solve(problem.q, problem.b_eq, problem.lower, problem.upper,
-                        warm_start=warm_start, tol_kkt=tol_kkt,
-                        tol_feas=tol_feas, max_iter=max_iter)

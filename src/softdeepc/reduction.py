@@ -1,81 +1,20 @@
 """SVD condensation of the stacked Hankel data matrix.
 
-The joint matrix [Up; Uf; Yp; Yf] is factorized with a thin SVD; keeping
+The data matrix [Up; Uf; Yp; Yf] is factorized with a thin SVD; keeping
 the top r singular directions yields a condensed data matrix with r
 columns that spans (approximately) the same trajectory space, shrinking
 the decision variable of the downstream predictive controller from
-T - L + 1 to r.
+T - L + 1 to r. Raw and condensed data share one type, HankelPartition:
+condensation keeps the row blocks and cuts the columns.
 """
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
 from .hankel import HankelPartition, numerical_rank
 
-__all__ = ["SvdCondensed", "select_rank", "factorize_and_condense"]
-
-
-@dataclass(frozen=True)
-class SvdCondensed:
-    """Rank-r condensation of a stacked Hankel matrix.
-
-    condensed is W1 @ diag(s1): the top-r left singular vectors scaled by
-    their singular values. Rows keep the [Up; Uf; Yp; Yf] block ordering
-    of the source partition, so the same row slices extract the reduced
-    past/future blocks.
-    """
-
-    condensed: np.ndarray
-    singular_values: np.ndarray
-    rank_used: int
-    input_dim: int
-    output_dim: int
-    t_ini: int
-    horizon: int
-
-    def __post_init__(self):
-        cond = np.ascontiguousarray(np.asarray(self.condensed, dtype=float))
-        sv = np.ascontiguousarray(np.asarray(self.singular_values, dtype=float))
-        cond.flags.writeable = False
-        sv.flags.writeable = False
-        object.__setattr__(self, "condensed", cond)
-        object.__setattr__(self, "singular_values", sv)
-        if sv.ndim != 1:
-            raise ValueError("singular_values must be a 1-D array")
-        if np.any(sv < 0) or np.any(np.diff(sv) > 0):
-            raise ValueError("singular_values must be nonnegative and descending")
-        q1 = (self.input_dim + self.output_dim) * (self.t_ini + self.horizon)
-        if self.condensed.shape != (q1, self.rank_used):
-            raise ValueError(
-                f"condensed has shape {self.condensed.shape}, expected ({q1}, {self.rank_used})"
-            )
-        if not 1 <= self.rank_used <= sv.size:
-            raise ValueError(
-                f"rank_used {self.rank_used} outside [1, {sv.size}]"
-            )
-
-    # row slices mirroring HankelPartition's stacking order
-    @property
-    def Up(self) -> np.ndarray:
-        return self.condensed[: self.input_dim * self.t_ini]
-
-    @property
-    def Uf(self) -> np.ndarray:
-        m = self.input_dim
-        return self.condensed[m * self.t_ini : m * (self.t_ini + self.horizon)]
-
-    @property
-    def Yp(self) -> np.ndarray:
-        m, p = self.input_dim, self.output_dim
-        start = m * (self.t_ini + self.horizon)
-        return self.condensed[start : start + p * self.t_ini]
-
-    @property
-    def Yf(self) -> np.ndarray:
-        m, p = self.input_dim, self.output_dim
-        start = m * (self.t_ini + self.horizon) + p * self.t_ini
-        return self.condensed[start:]
+__all__ = ["select_rank", "factorize_and_condense"]
 
 
 def select_rank(singular_values, energy_fraction: float = 0.999) -> int:
@@ -99,30 +38,20 @@ def select_rank(singular_values, energy_fraction: float = 0.999) -> int:
 
 
 def factorize_and_condense(partition: HankelPartition, r: int | None = None,
-                           energy_fraction: float = 0.999) -> SvdCondensed:
+                           energy_fraction: float = 0.999) -> HankelPartition:
     """Thin-SVD the stacked [Up; Uf; Yp; Yf] matrix and keep r columns.
 
     With r=None the rank is picked by the energy rule at energy_fraction,
     capped at the numerical rank of the stack. The condensed matrix is
     materialized as W1 @ diag(s1), which equals (stack @ V1) up to SVD
-    round-off.
+    round-off; it keeps the row layout of the partition.
     """
-    stack = partition.stacked()
-    q1, q2 = stack.shape
-    max_r = min(q1, q2)
+    stack = partition.matrix
+    max_r = min(stack.shape)
     W, s, _ = np.linalg.svd(stack, full_matrices=False)
     if r is None:
         r = min(select_rank(s, energy_fraction), numerical_rank(stack))
     else:
         if not 1 <= r <= max_r:
             raise ValueError(f"r must lie in [1, {max_r}], got {r}")
-    condensed = W[:, :r] * s[:r]
-    return SvdCondensed(
-        condensed=condensed,
-        singular_values=s,
-        rank_used=int(r),
-        input_dim=partition.input_dim,
-        output_dim=partition.output_dim,
-        t_ini=partition.t_ini,
-        horizon=partition.horizon,
-    )
+    return dataclasses.replace(partition, matrix=W[:, :r] * s[:r], singular_values=s)

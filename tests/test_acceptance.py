@@ -231,7 +231,7 @@ def test_svd_condensation_exact_then_fast_at_energy_rank(capsys):
                                        build_hankel(y_clean, depth),
                                        t_ini, horizon)
     assert part_clean.columns >= 1000
-    rank_exact = numerical_rank(part_clean.stacked())
+    rank_exact = numerical_rank(part_clean.matrix)
     template_full_clean = assemble(cfg, part_clean)
     template_exact = assemble(cfg, factorize_and_condense(part_clean, r=rank_exact))
     case_rng = np.random.default_rng(17)

@@ -10,7 +10,6 @@ from softdeepc.controller import (
     DeePCConfig,
     DeePCController,
     HistoryBuffer,
-    advance,
     assemble,
     step,
 )
@@ -75,7 +74,7 @@ class TestHistoryBuffer:
     def test_eviction(self):
         buf = HistoryBuffer(t_ini=2, input_dim=1, output_dim=1)
         for k in range(3):
-            advance(buf, [float(k)], [float(-k)])
+            buf.push([float(k)], [float(-k)])
         np.testing.assert_array_equal(buf.u_ini, [1.0, 2.0])
         np.testing.assert_array_equal(buf.y_ini, [-1.0, -2.0])
 
@@ -278,7 +277,7 @@ class TestReductionConsistency(ScenarioMixin):
         rng, sys, part, tpl = self.build(seed=17, n=3, m=2, p=2, horizon=6,
                                          T=160, lambda_g=50.0, lambda_y=1e4,
                                          u_lower=-2.0, u_upper=2.0)
-        r = numerical_rank(part.stacked())
+        r = numerical_rank(part.matrix)
         cond = factorize_and_condense(part, r=r)
         tpl_red = assemble(tpl.config, cond)
         u_hist, y_hist, _ = self.run_history(sys, rng, tpl.config.t_ini)

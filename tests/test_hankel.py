@@ -122,11 +122,6 @@ class TestBuildHankel:
         h_shift = build_hankel(signal[1:], depth=8)
         np.testing.assert_array_equal(h_shift.matrix, h_full.matrix[:, 1:])
 
-    def test_block_rows_accessor(self):
-        signal = np.arange(10.0).reshape(5, 2)
-        h = build_hankel(signal, depth=4)
-        np.testing.assert_array_equal(h.block_rows(1, 3), h.matrix[2:6])
-
     def test_row_count_validated(self):
         with pytest.raises(ValueError, match="rows"):
             BlockHankel(matrix=np.zeros((5, 3)), signal_dim=2, depth=3)
@@ -231,10 +226,9 @@ class TestPartition:
 
     def test_stacked_order(self):
         part, _, _ = self.make_partition(seed=6)
-        stacked = part.stacked()
         rows = 0
         for block in (part.Up, part.Uf, part.Yp, part.Yf):
-            np.testing.assert_array_equal(stacked[rows : rows + block.shape[0]], block)
+            np.testing.assert_array_equal(part.matrix[rows : rows + block.shape[0]], block)
             rows += block.shape[0]
 
     def test_depth_mismatch_rejected(self):

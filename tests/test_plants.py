@@ -12,7 +12,6 @@ from softdeepc.plants import (
     LtiPlant,
     SoftArmPlant,
     arm_sim_step,
-    lti_step,
 )
 
 
@@ -225,7 +224,9 @@ class TestLtiPlant:
         with pytest.raises(ValueError, match="B has"):
             LtiPlant(A=np.eye(2), B=np.zeros((3, 1)), C=np.zeros((1, 2)))
 
-    def test_functional_alias(self):
+    def test_step_measures_pre_update_state(self):
         plant = LtiPlant(A=[[0.9]], B=[[1.0]], C=[[2.0]], x0=[1.0])
-        y = lti_step(plant, [0.5])
+        y = plant.step([0.5])
         assert y[0] == 2.0
+        # x advanced to 0.9 * 1 + 0.5
+        assert plant.step([0.0])[0] == pytest.approx(2.8)

@@ -1,11 +1,18 @@
 """Tests for the dense QP solver."""
 
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from softdeepc.qp import QpProblem, QpSolver, solve
+from softdeepc.qp import QpSolver
+
+
+def solve_once(P, q, A_eq=None, b_eq=None, A_in=None, lower=None,
+               upper=None, **options):
+    """One solve on a fresh solver, so no working set carries over."""
+    return QpSolver(P, A_eq, A_in).solve(q, b_eq, lower, upper, **options)
 
 
 def active_set_oracle(P, q, A_eq, b_eq, A_in, lower, upper):
@@ -77,46 +84,66 @@ def random_strictly_convex(rng, n, n_e, n_i):
     mid = A_in @ z0
     lower = mid - rng.uniform(0.05, 0.5, size=n_i)
     upper = mid + rng.uniform(0.05, 0.5, size=n_i)
-    return QpProblem(P=P, q=q, A_eq=A_eq, b_eq=b_eq, A_in=A_in,
-                     lower=lower, upper=upper)
+    return SimpleNamespace(P=P, q=q, A_eq=A_eq, b_eq=b_eq, A_in=A_in,
+                           lower=lower, upper=upper)
 
 
 class TestProblemValidation:
     def test_asymmetric_rejected(self):
         P = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            QpProblem(P=P, q=np.zeros(2))
+            QpSolver(P)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            QpSolver(np.ones((2, 3)))
+
+    def test_constraint_width_validated(self):
+        with pytest.raises(ValueError, match="A_eq"):
+            QpSolver(np.eye(2), A_eq=[[1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="A_in"):
+            QpSolver(np.eye(2), A_in=[1.0, 0.0])
+
+    def test_caller_matrices_stay_writable(self):
+        A_eq, A_in = np.ones((1, 2)), np.eye(2)
+        solver = QpSolver(np.eye(2), A_eq=A_eq, A_in=A_in)
+        A_eq[0, 0] = A_in[0, 0] = 3.0
+        assert solver.A_eq[0, 0] == solver.A_in[0, 0] == 1.0
+        assert not solver.A_in.flags.writeable
 
     def test_tiny_asymmetry_symmetrized(self):
         P = np.eye(2)
         P[0, 1] = 1e-13
-        prob = QpProblem(P=P, q=np.zeros(2))
-        np.testing.assert_array_equal(prob.P, prob.P.T)
+        solver = QpSolver(P)
+        np.testing.assert_array_equal(solver.P, solver.P.T)
 
     def test_bound_order_rejected(self):
         with pytest.raises(ValueError, match="lower"):
-            QpProblem(P=np.eye(1), q=[0.0], A_in=[[1.0]], lower=[2.0], upper=[1.0])
+            solve_once(np.eye(1), [0.0], A_in=[[1.0]], lower=[2.0], upper=[1.0])
 
     def test_nan_bounds_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
-            QpProblem(P=np.eye(1), q=[0.0], A_in=[[1.0]], lower=[np.nan], upper=[1.0])
+            solve_once(np.eye(1), [0.0], A_in=[[1.0]], lower=[np.nan], upper=[1.0])
 
     def test_eq_pair_required(self):
-        with pytest.raises(ValueError, match="A_eq"):
-            QpProblem(P=np.eye(1), q=[0.0], A_eq=[[1.0]])
+        with pytest.raises(ValueError, match="b_eq"):
+            solve_once(np.eye(1), [0.0], A_eq=[[1.0]])
 
     def test_bounds_require_matrix(self):
-        with pytest.raises(ValueError, match="A_in"):
-            QpProblem(P=np.eye(1), q=[0.0], lower=[0.0])
+        # a box that excludes the unconstrained optimum must not be dropped
+        with pytest.raises(ValueError, match="no inequality rows"):
+            solve_once(np.eye(2), [1.0, -1.0], lower=[5.0, 5.0], upper=[6.0, 6.0])
+        with pytest.raises(ValueError, match="no inequality rows"):
+            solve_once(np.eye(1), [0.0], upper=[0.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="q"):
-            QpProblem(P=np.eye(2), q=[0.0])
+            solve_once(np.eye(2), [0.0])
 
 
 class TestBasicSolves:
     def test_unconstrained_origin(self):
-        sol = solve(QpProblem(P=np.eye(2), q=np.zeros(2)))
+        sol = solve_once(np.eye(2), np.zeros(2))
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.z_star, np.zeros(2), atol=1e-10)
         assert sol.objective == pytest.approx(0.0, abs=1e-12)
@@ -124,14 +151,13 @@ class TestBasicSolves:
     def test_unconstrained_general(self):
         P = np.array([[3.0, 1.0], [1.0, 2.0]])
         q = np.array([-1.0, 4.0])
-        sol = solve(QpProblem(P=P, q=q))
+        sol = solve_once(P, q)
         np.testing.assert_allclose(sol.z_star, np.linalg.solve(P, -q), atol=1e-9)
         assert sol.status == "optimal"
 
     def test_scalar_clamp(self):
         # min (z-3)^2 on [0, 2]: quadratic form 0.5*2z^2 - 6z, optimum z=2
-        prob = QpProblem(P=[[2.0]], q=[-6.0], A_in=[[1.0]], lower=[0.0], upper=[2.0])
-        sol = solve(prob)
+        sol = solve_once([[2.0]], [-6.0], A_in=[[1.0]], lower=[0.0], upper=[2.0])
         assert sol.status == "optimal"
         assert sol.z_star[0] == pytest.approx(2.0, abs=1e-8)
         # (z-3)^2 = quadratic-form objective + constant 9
@@ -140,9 +166,8 @@ class TestBasicSolves:
     def test_projection_onto_box(self):
         # min 0.5||z - c||^2 with identity rows: solution clips c to the box
         c = np.array([3.0, -2.0, 0.4])
-        prob = QpProblem(P=np.eye(3), q=-c, A_in=np.eye(3),
+        sol = solve_once(np.eye(3), -c, A_in=np.eye(3),
                          lower=[-1.0, -1.0, -1.0], upper=[1.0, 1.0, 1.0])
-        sol = solve(prob)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.z_star, [1.0, -1.0, 0.4], atol=1e-8)
 
@@ -156,32 +181,28 @@ class TestBasicSolves:
         b = rng.standard_normal(n_e)
         K = np.block([[P, A.T], [A, np.zeros((n_e, n_e))]])
         expected = np.linalg.solve(K, np.concatenate([-q, b]))[:n]
-        sol = solve(QpProblem(P=P, q=q, A_eq=A, b_eq=b))
+        sol = solve_once(P, q, A_eq=A, b_eq=b)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.z_star, expected, atol=1e-8)
         np.testing.assert_allclose(A @ sol.z_star, b, atol=1e-8)
 
     def test_one_sided_bounds(self):
         # min 0.5 z^2 + z with z >= 0 -> z = 0; unconstrained would be -1
-        prob = QpProblem(P=[[1.0]], q=[1.0], A_in=[[1.0]], lower=[0.0],
-                         upper=[np.inf])
-        sol = solve(prob)
+        sol = solve_once([[1.0]], [1.0], A_in=[[1.0]], lower=[0.0], upper=[np.inf])
         assert sol.status == "optimal"
         assert sol.z_star[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_pinned_inequality_row(self):
         # lower == upper inside A_in behaves as an equality
-        prob = QpProblem(P=np.eye(2), q=np.zeros(2), A_in=[[1.0, 1.0]],
+        sol = solve_once(np.eye(2), np.zeros(2), A_in=[[1.0, 1.0]],
                          lower=[3.0], upper=[3.0])
-        sol = solve(prob)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.z_star, [1.5, 1.5], atol=1e-8)
 
     def test_psd_singular_cost(self):
         # flat direction pinned by a bound: P singular but problem bounded
-        prob = QpProblem(P=np.diag([1.0, 0.0]), q=[0.0, 1.0],
+        sol = solve_once(np.diag([1.0, 0.0]), [0.0, 1.0],
                          A_in=np.eye(2), lower=[-5.0, -1.0], upper=[5.0, 1.0])
-        sol = solve(prob)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.z_star, [0.0, -1.0], atol=1e-7)
 
@@ -191,7 +212,7 @@ class TestOracleComparison:
     def test_matches_active_set_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         prob = random_strictly_convex(rng, n=20, n_e=5, n_i=10)
-        sol = solve(prob)
+        sol = solve_once(**vars(prob))
         assert sol.status == "optimal"
         z_ref, obj_ref = active_set_oracle(prob.P, prob.q, prob.A_eq, prob.b_eq,
                                            prob.A_in, prob.lower, prob.upper)
@@ -201,7 +222,7 @@ class TestOracleComparison:
     def test_matches_oracle_no_equalities(self):
         rng = np.random.default_rng(7)
         prob = random_strictly_convex(rng, n=12, n_e=0, n_i=8)
-        sol = solve(prob)
+        sol = solve_once(**vars(prob))
         assert sol.status == "optimal"
         z_ref, obj_ref = active_set_oracle(prob.P, prob.q, None, None,
                                            prob.A_in, prob.lower, prob.upper)
@@ -212,28 +233,23 @@ class TestOracleComparison:
 class TestStatusPaths:
     def test_infeasible_equalities(self):
         # rows demand z=1 and z=2 simultaneously
-        prob = QpProblem(P=np.eye(1), q=[0.0], A_eq=[[1.0], [1.0]],
-                         b_eq=[1.0, 2.0])
-        sol = solve(prob)
+        sol = solve_once(np.eye(1), [0.0], A_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0])
         assert sol.status == "infeasible"
 
     def test_consistent_redundant_equalities_ok(self):
-        prob = QpProblem(P=np.eye(1), q=[0.0], A_eq=[[1.0], [2.0]],
-                         b_eq=[1.0, 2.0])
-        sol = solve(prob)
+        sol = solve_once(np.eye(1), [0.0], A_eq=[[1.0], [2.0]], b_eq=[1.0, 2.0])
         assert sol.status == "optimal"
         assert sol.z_star[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_bound_equality_conflict_hits_iteration_cap(self):
         # equality forces z=5 while the bound row caps z at 1: primal
         # infeasible but consistent equalities, so the cap is the exit
-        prob = QpProblem(P=np.eye(1), q=[0.0], A_eq=[[1.0]], b_eq=[5.0],
-                         A_in=[[1.0]], lower=[0.0], upper=[1.0])
-        sol = solve(prob, max_iter=300)
+        sol = solve_once(np.eye(1), [0.0], A_eq=[[1.0]], b_eq=[5.0],
+                         A_in=[[1.0]], lower=[0.0], upper=[1.0], max_iter=300)
         assert sol.status == "max_iterations"
 
     def test_kkt_residual_reported(self):
-        sol = solve(QpProblem(P=np.eye(2), q=[1.0, -1.0]))
+        sol = solve_once(np.eye(2), [1.0, -1.0])
         assert sol.status == "optimal"
         assert 0.0 <= sol.kkt_residual <= 1e-8
 
@@ -244,7 +260,7 @@ class TestOptimalityProperties:
         tries = 0
         while len(dirs) < count and tries < 4000:
             tries += 1
-            d = rng.standard_normal(prob.n)
+            d = rng.standard_normal(len(prob.q))
             if prob.A_eq is not None:
                 # project onto the equality nullspace
                 d = d - prob.A_eq.T @ np.linalg.lstsq(prob.A_eq.T, d, rcond=None)[0]
@@ -263,18 +279,20 @@ class TestOptimalityProperties:
     def test_no_feasible_descent_direction(self, seed):
         rng = np.random.default_rng(seed)
         prob = random_strictly_convex(rng, n=10, n_e=2, n_i=6)
-        sol = solve(prob)
+        sol = solve_once(**vars(prob))
         assert sol.status == "optimal"
         for d in self.feasible_directions(prob, sol.z_star, rng):
             perturbed = sol.z_star + 1e-4 * d
-            drop = sol.objective - prob.objective(perturbed)
+            drop = sol.objective - (0.5 * perturbed @ prob.P @ perturbed
+                                    + prob.q @ perturbed)
             assert drop <= 1e-8
 
     def test_warm_start_same_answer(self):
         rng = np.random.default_rng(21)
         prob = random_strictly_convex(rng, n=15, n_e=4, n_i=8)
-        cold = solve(prob)
-        warm = solve(prob, warm_start=cold.z_star + rng.standard_normal(15))
+        cold = solve_once(**vars(prob))
+        warm = solve_once(**vars(prob),
+                          warm_start=cold.z_star + rng.standard_normal(15))
         assert cold.status == warm.status == "optimal"
         np.testing.assert_allclose(cold.z_star, warm.z_star, atol=1e-6)
         assert cold.objective == pytest.approx(warm.objective, abs=1e-8)
@@ -282,8 +300,8 @@ class TestOptimalityProperties:
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(31)
         prob = random_strictly_convex(rng, n=12, n_e=3, n_i=6)
-        a = solve(prob)
-        b = solve(prob)
+        a = solve_once(**vars(prob))
+        b = solve_once(**vars(prob))
         np.testing.assert_array_equal(a.z_star, b.z_star)
         assert a.objective == b.objective
         assert a.iterations == b.iterations
@@ -292,7 +310,7 @@ class TestOptimalityProperties:
         rng = np.random.default_rng(41)
         for seed in range(5):
             prob = random_strictly_convex(np.random.default_rng(seed), 10, 3, 5)
-            sol = solve(prob)
+            sol = solve_once(**vars(prob))
             assert sol.status == "optimal"
             resid = np.max(np.abs(prob.A_eq @ sol.z_star - prob.b_eq))
             scale = max(1.0, np.max(np.abs(prob.b_eq)))
@@ -301,7 +319,7 @@ class TestOptimalityProperties:
     def test_stationarity_with_returned_multipliers(self):
         rng = np.random.default_rng(51)
         prob = random_strictly_convex(rng, n=10, n_e=3, n_i=5)
-        sol = solve(prob)
+        sol = solve_once(**vars(prob))
         grad = (prob.P @ sol.z_star + prob.q
                 + prob.A_eq.T @ sol.multipliers_eq
                 + prob.A_in.T @ sol.multipliers_in)
@@ -319,9 +337,8 @@ class TestSolverReuse:
             q = r2.standard_normal(n)
             b = base.A_eq @ r2.standard_normal(n)
             reused = solver.solve(q, b, base.lower, base.upper)
-            oneshot = solve(QpProblem(P=base.P, q=q, A_eq=base.A_eq, b_eq=b,
-                                      A_in=base.A_in, lower=base.lower,
-                                      upper=base.upper))
+            oneshot = solve_once(base.P, q, base.A_eq, b, base.A_in, base.lower,
+                                 base.upper)
             assert reused.status == oneshot.status == "optimal"
             np.testing.assert_allclose(reused.z_star, oneshot.z_star, atol=1e-6)
             assert reused.objective == pytest.approx(oneshot.objective, abs=1e-8)
@@ -375,8 +392,7 @@ class TestWarmPath:
             upper = base.A_in @ z0 + half_width
             reused = solver.solve(q, b, lower, upper)
             paths.append(reused.path)
-            oneshot = solve(QpProblem(P=base.P, q=q, A_eq=base.A_eq, b_eq=b,
-                                      A_in=base.A_in, lower=lower, upper=upper))
+            oneshot = solve_once(base.P, q, base.A_eq, b, base.A_in, lower, upper)
             assert oneshot.path == "admm"
             np.testing.assert_allclose(reused.z_star, oneshot.z_star, atol=1e-6)
             assert reused.objective == pytest.approx(oneshot.objective, abs=1e-8)

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from softdeepc.hankel import build_hankel, numerical_rank, partition_past_future
-from softdeepc.reduction import SvdCondensed, factorize_and_condense, select_rank
+from softdeepc.hankel import (
+    HankelPartition,
+    build_hankel,
+    numerical_rank,
+    partition_past_future,
+)
+from softdeepc.reduction import factorize_and_condense, select_rank
 
 
 def make_partition(m=2, p=1, t_ini=4, horizon=6, T=80, seed=0, plant=None):
@@ -83,26 +88,27 @@ class TestFactorizeAndCondense:
         part = make_partition()
         cond = factorize_and_condense(part, r=5)
         q1 = (2 + 1) * 10
-        assert cond.condensed.shape == (q1, 5)
-        assert cond.rank_used == 5
+        assert cond.matrix.shape == (q1, 5)
+        assert cond.rank_used == cond.columns == 5
         assert cond.singular_values.shape == (min(q1, part.columns),)
+        assert cond.condensed and not part.condensed
 
     def test_two_formulas_agree(self):
         # W1 @ diag(s1) must match stack @ V1 to tight relative tolerance
         part = make_partition(seed=1)
-        stack = part.stacked()
+        stack = part.matrix
         W, s, Vt = np.linalg.svd(stack, full_matrices=False)
         r = 7
         cond = factorize_and_condense(part, r=r)
         via_v = stack @ Vt[:r].T
         # singular vectors have sign freedom; compare magnitudes columnwise
         err = min(
-            np.linalg.norm(cond.condensed - via_v),
-            np.linalg.norm(cond.condensed + via_v),
+            np.linalg.norm(cond.matrix - via_v),
+            np.linalg.norm(cond.matrix + via_v),
         )
         # sign flips are per-column; do an exact per-column alignment too
-        aligned = via_v * np.sign(np.sum(via_v * cond.condensed, axis=0))
-        rel = np.linalg.norm(cond.condensed - aligned) / np.linalg.norm(stack)
+        aligned = via_v * np.sign(np.sum(via_v * cond.matrix, axis=0))
+        rel = np.linalg.norm(cond.matrix - aligned) / np.linalg.norm(stack)
         assert rel <= 1e-9 or err <= 1e-9 * np.linalg.norm(stack)
 
     def test_rank_one_stack(self):
@@ -112,21 +118,11 @@ class TestFactorizeAndCondense:
         part_stack = np.outer(col, coeffs)
         # wrap in a partition: m=1, p=2, t_ini=4, horizon=6 -> q1=30
         m, p, t_ini, horizon = 1, 2, 4, 6
-        part = make_partition(m=m, p=p, t_ini=t_ini, horizon=horizon, T=21, seed=9)
-        assert part.stacked().shape == part_stack.shape
-        part = type(part)(
-            Up=part_stack[: m * t_ini],
-            Uf=part_stack[m * t_ini : m * (t_ini + horizon)],
-            Yp=part_stack[m * (t_ini + horizon) : m * (t_ini + horizon) + p * t_ini],
-            Yf=part_stack[m * (t_ini + horizon) + p * t_ini :],
-            input_dim=m,
-            output_dim=p,
-            t_ini=t_ini,
-            horizon=horizon,
-        )
+        part = HankelPartition(matrix=part_stack, input_dim=m, output_dim=p,
+                               t_ini=t_ini, horizon=horizon)
         cond = factorize_and_condense(part, r=1)
-        H = part.stacked()
-        Hbar = cond.condensed
+        H = part.matrix
+        Hbar = cond.matrix
         reconstructed = Hbar @ np.linalg.pinv(Hbar) @ H
         assert np.linalg.norm(reconstructed - H) <= 1e-9
 
@@ -137,11 +133,11 @@ class TestFactorizeAndCondense:
         C = np.array([[1.0, 1.0]])
         part = make_partition(m=1, p=1, t_ini=4, horizon=6, T=60, seed=5,
                               plant=(A, B, C))
-        stack = part.stacked()
+        stack = part.matrix
         r = numerical_rank(stack)
         assert r < min(stack.shape)  # LTI data is genuinely low-rank
         cond = factorize_and_condense(part, r=r)
-        Hbar = cond.condensed
+        Hbar = cond.matrix
         residual, *_ = np.linalg.lstsq(Hbar, stack, rcond=None)
         err = np.linalg.norm(Hbar @ residual - stack, axis=0)
         assert np.max(err) <= 1e-8
@@ -150,35 +146,25 @@ class TestFactorizeAndCondense:
         # identity stack: singular values all 1, condensed = first r columns
         n = 12
         m, p, t_ini, horizon = 1, 2, 2, 2
-        eye = np.eye(n)
-        part_rows = {
-            "Up": eye[: m * t_ini],
-            "Uf": eye[m * t_ini : m * (t_ini + horizon)],
-            "Yp": eye[m * (t_ini + horizon) : m * (t_ini + horizon) + p * t_ini],
-            "Yf": eye[m * (t_ini + horizon) + p * t_ini :],
-        }
-        from softdeepc.hankel import HankelPartition
-
-        part = HankelPartition(
-            **part_rows, input_dim=m, output_dim=p, t_ini=t_ini, horizon=horizon
-        )
+        part = HankelPartition(matrix=np.eye(n), input_dim=m, output_dim=p,
+                               t_ini=t_ini, horizon=horizon)
         cond = factorize_and_condense(part, r=4)
         np.testing.assert_allclose(cond.singular_values, np.ones(n), atol=1e-12)
         # columns are scaled canonical directions (sign-ambiguous)
-        np.testing.assert_allclose(np.abs(cond.condensed).sum(axis=0), np.ones(4),
+        np.testing.assert_allclose(np.abs(cond.matrix).sum(axis=0), np.ones(4),
                                    atol=1e-12)
-        col_support = np.count_nonzero(np.abs(cond.condensed) > 1e-9, axis=0)
+        col_support = np.count_nonzero(np.abs(cond.matrix) > 1e-9, axis=0)
         np.testing.assert_array_equal(col_support, np.ones(4, dtype=int))
 
     def test_eckart_young(self):
         # projection error equals tail energy, non-increasing in r
         part = make_partition(seed=8, T=50)
-        stack = part.stacked()
+        stack = part.matrix
         s = np.linalg.svd(stack, compute_uv=False)
         prev = np.inf
         for r in range(1, 8):
             cond = factorize_and_condense(part, r=r)
-            Hbar = cond.condensed
+            Hbar = cond.matrix
             proj = Hbar @ np.linalg.lstsq(Hbar, stack, rcond=None)[0]
             err = np.linalg.norm(stack - proj)
             expected = np.sqrt(np.sum(s[r:] ** 2))
@@ -195,7 +181,7 @@ class TestFactorizeAndCondense:
 
     def test_auto_rank_uses_energy_rule(self):
         part = make_partition(seed=12, T=120)
-        s = np.linalg.svd(part.stacked(), compute_uv=False)
+        s = np.linalg.svd(part.matrix, compute_uv=False)
         cond = factorize_and_condense(part, energy_fraction=0.9)
         assert cond.rank_used == select_rank(s, 0.9)
 
@@ -206,12 +192,12 @@ class TestFactorizeAndCondense:
         part = make_partition(m=1, p=1, t_ini=5, horizon=5, T=100, seed=3,
                               plant=(A, B, C))
         cond = factorize_and_condense(part, energy_fraction=1.0)
-        assert cond.rank_used == numerical_rank(part.stacked())
+        assert cond.rank_used == numerical_rank(part.matrix)
 
     def test_block_slices_match_partition_rows(self):
         part = make_partition(m=2, p=3, t_ini=3, horizon=4, T=60, seed=7)
         cond = factorize_and_condense(part, r=6)
-        q = cond.condensed
+        q = cond.matrix
         m, p, t_ini, N = 2, 3, 3, 4
         np.testing.assert_array_equal(cond.Up, q[: m * t_ini])
         np.testing.assert_array_equal(cond.Uf, q[m * t_ini : m * (t_ini + N)])
@@ -225,30 +211,21 @@ class TestFactorizeAndCondense:
         part = make_partition()
         cond = factorize_and_condense(part, r=3)
         with pytest.raises(ValueError):
-            cond.condensed[0, 0] = 5.0
+            cond.matrix[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            cond.singular_values[0] = 5.0
 
 
-class TestSvdCondensedValidation:
+class TestCondensedPartitionValidation:
     def test_bad_singular_order_rejected(self):
         with pytest.raises(ValueError, match="descending"):
-            SvdCondensed(
-                condensed=np.zeros((4, 1)),
-                singular_values=[1.0, 2.0],
-                rank_used=1,
-                input_dim=1,
-                output_dim=1,
-                t_ini=1,
-                horizon=1,
-            )
+            HankelPartition(matrix=np.zeros((4, 1)), input_dim=1, output_dim=1,
+                            t_ini=1, horizon=1, singular_values=[1.0, 2.0])
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="condensed"):
-            SvdCondensed(
-                condensed=np.zeros((5, 2)),
-                singular_values=[2.0, 1.0],
-                rank_used=2,
-                input_dim=1,
-                output_dim=1,
-                t_ini=1,
-                horizon=1,
-            )
+        with pytest.raises(ValueError, match="matrix has shape"):
+            HankelPartition(matrix=np.zeros((5, 2)), input_dim=1, output_dim=1,
+                            t_ini=1, horizon=1, singular_values=[2.0, 1.0])
+        with pytest.raises(ValueError, match="singular values"):
+            HankelPartition(matrix=np.zeros((4, 3)), input_dim=1, output_dim=1,
+                            t_ini=1, horizon=1, singular_values=[2.0, 1.0])
