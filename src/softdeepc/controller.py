@@ -215,7 +215,9 @@ class DeePCTemplate:
             self.box_lower = np.tile(u_lo, N)
             self.box_upper = np.tile(u_hi, N)
 
-        self.solver = QpSolver(self.P, self.A_eq, self.A_in)
+        # A_in is Uf: shifting the working set by one input block lines the
+        # last plan up with this one
+        self.solver = QpSolver(self.P, self.A_eq, self.A_in, seed_shift=self.m)
 
     def make_history(self) -> HistoryBuffer:
         return HistoryBuffer(self.config.t_ini, self.m, self.p)

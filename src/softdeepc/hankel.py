@@ -38,8 +38,9 @@ def _as_signal(signal) -> np.ndarray:
     return arr
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+def _freeze(arr) -> np.ndarray:
+    """A read-only C-ordered float copy, so the caller's array stays writable."""
+    arr = np.array(arr, dtype=float, order="C")
     arr.flags.writeable = False
     return arr
 
@@ -93,7 +94,7 @@ class BlockHankel:
     depth: int
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(np.asarray(self.matrix, dtype=float)))
+        object.__setattr__(self, "matrix", _freeze(self.matrix))
         rows, cols = self.matrix.shape
         if rows != self.signal_dim * self.depth:
             raise ValueError(
@@ -170,14 +171,14 @@ class HankelPartition:
     singular_values: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(np.asarray(self.matrix, dtype=float)))
+        object.__setattr__(self, "matrix", _freeze(self.matrix))
         rows = (self.input_dim + self.output_dim) * self.depth
         if self.matrix.ndim != 2 or self.matrix.shape[0] != rows or self.columns < 1:
             raise ValueError(
                 f"matrix has shape {self.matrix.shape}, expected ({rows}, K >= 1)"
             )
         if self.singular_values is not None:
-            s = _freeze(np.asarray(self.singular_values, dtype=float))
+            s = _freeze(self.singular_values)
             object.__setattr__(self, "singular_values", s)
             if s.ndim != 1:
                 raise ValueError("singular_values must be a 1-D array")

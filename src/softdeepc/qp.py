@@ -4,31 +4,39 @@
     subject to  A_eq z = b_eq
                 lower <= A_in z <= upper
 
-Method: an active-set solve in the multiplier space, started from the
-working set of the last certified solve on the same solver. This is the
-online active-set idea of qpOASES (Ferreau, Bock & Diehl, 2008) applied to
-the polish step of OSQP (Stellato et al., 2020): in a receding-horizon loop
-the active set moves little between solves, so the previous working set is
-a close start. With P > 0 a sweep factors only the working-set block of the
-cached Gram matrix A P^-1 A' and reads the bound rows off the multipliers;
-z is formed once at the end. A singular P takes a regularized KKT solve
-instead.
+Method: an active-set solve in the multiplier space, after the online
+active-set idea of qpOASES (Ferreau, Bock & Diehl, 2008). With P > 0 the
+equality rows are eliminated once, at construction: the solver factors the
+equality block S_ee of the Gram matrix S = A P^-1 A' and keeps the Schur
+complement C = S_ii - S_ie S_ee^-1 S_ei of the bound rows. Each sweep then
+factors only the block of C on the working set (the rows held at a bound),
+reads A_in z off the bound multipliers, and adds or drops rows until the
+set stops changing; nu and z are formed once at the end. Dependent equality
+rows are replaced by the same number of independent ones spanning their
+range, and their multipliers are mapped back. A singular P, or a block whose
+Cholesky factorization fails, takes a regularized KKT solve instead.
+
+The working set of the last certified solve seeds the next solve ("warm"),
+shifted forward by seed_shift rows. In a receding-horizon loop whose bound
+rows are the future inputs, a shift of one input block lines the previous
+plan up with the current one. A plan that stands still over the horizon (a
+saturated steady state) does not move that way, so the set stays unshifted
+when the step before matched it better unshifted. Without a seed the solve
+starts from the empty working set ("cold").
 
 Operator-splitting ADMM (Ruiz equilibration, per-row step sizes) is the
-fallback: it runs when there is no certified previous working set or the
-warm result does not certify, and its multiplier signs seed the same
-active-set solve. Plain ADMM iterates are accepted only if they certify on
-their own.
+fallback: it runs only when the active-set result does not certify, and its
+multiplier signs seed the same active-set solve. Its scalings and scaled
+matrices are built on first use. Plain ADMM iterates are accepted only if
+they certify on their own.
 
 Every "optimal" result is certified by the KKT residual. All residuals are
 reported unscaled and relative with a floor of 1 in the denominator, so
 well-scaled problems see absolute tolerances and large problems are judged
 proportionally.
-
-A QpSolver instance caches factorizations for a fixed (P, A_eq, A_in)
-structure so a receding-horizon loop pays the dense factorization once.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,15 +77,39 @@ def _rows(A, n, name):
     return A
 
 
+def _spd_factor(S):
+    """Cholesky factor of S + delta I for a PSD block S, or None on failure.
+
+    LAPACK directly: a sweep's blocks are small, so call overhead counts.
+    """
+    if not len(S):
+        return S
+    cS, info = dpotrf(S + _POLISH_DELTA * np.eye(len(S)), clean=False)
+    return None if info else cS
+
+
+def _spd_solve(S, cS, rhs):
+    """S x = rhs from the factor of S + delta I, refined against S itself."""
+    if not len(S):
+        return np.zeros(rhs.shape)
+    x = dpotrs(cS, rhs)[0]
+    for _ in range(3):
+        x = x + dpotrs(cS, rhs - S @ x)[0]
+    return x
+
+
 @dataclass(frozen=True)
 class QpSolution:
     """Result of one solve.
 
-    iterations counts ADMM iterations, so it is 0 on the warm path. path
-    names how the result was reached: "warm" when the active-set solve from
-    the previous working set certified without ADMM, "admm" when ADMM ran and
-    its result (or its seeded active-set solve) certified, and "uncertified"
-    when status is not "optimal".
+    path names how the result was reached: "warm" when the active-set solve
+    from the shifted working set of the previous certified solve certified,
+    "cold" when there was no such set and the active-set solve from the
+    empty working set certified, "admm" when ADMM ran and its result (or its
+    seeded active-set solve) certified, and "uncertified" when status is not
+    "optimal". iterations counts ADMM iterations, so it is 0 on the warm and
+    cold paths; sweeps counts active-set sweeps over all attempts in the
+    solve, 0 if none ran.
     """
 
     z_star: np.ndarray
@@ -88,6 +120,7 @@ class QpSolution:
     multipliers_eq: np.ndarray
     multipliers_in: np.ndarray
     path: str
+    sweeps: int
 
 
 def _ruiz_equilibrate(P, A, iterations=10):
@@ -126,18 +159,26 @@ def _finite(x, name):
 class QpSolver:
     """Solver bound to fixed (P, A_eq, A_in); q, b_eq and bounds vary per solve.
 
-    Reusing one instance across a receding-horizon loop amortizes the Ruiz
-    scaling, the ADMM factorization and the polish Gram matrix, and lets each
-    solve start from the working set of the last certified one.
+    Construction factors P, eliminates the equality rows and keeps the Schur
+    complement of the bound rows, so each solve of a receding-horizon loop
+    factors only small working-set blocks. Each solve starts from the
+    working set of the last certified one, or from the empty set when there
+    is none. With seed_shift > 0 that set is first moved forward by
+    seed_shift rows, the last seed_shift rows repeating the ones before
+    them, unless the step before matched it better unmoved. The ADMM
+    fallback's state is built on its first use.
     """
 
-    def __init__(self, P, A_eq=None, A_in=None):
+    def __init__(self, P, A_eq=None, A_in=None, seed_shift=0):
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"P must be square, got shape {P.shape}")
         asym = np.max(np.abs(P - P.T), initial=0.0)
         if asym > 1e-10 * max(1.0, np.max(np.abs(P), initial=0.0)):
             raise ValueError(f"P is not symmetric (max asymmetry {asym:.3e})")
+        self.seed_shift = operator.index(seed_shift)
+        if self.seed_shift < 0:
+            raise ValueError(f"seed_shift must be >= 0, got {seed_shift}")
         self.P = 0.5 * (P + P.T)
         self.P.flags.writeable = False
         self.n = P.shape[0]
@@ -145,52 +186,61 @@ class QpSolver:
         self.A_in = _rows(A_in, self.n, "A_in")
         self.n_e = 0 if self.A_eq is None else self.A_eq.shape[0]
         self.n_i = 0 if self.A_in is None else self.A_in.shape[0]
+        A_i = self.A_in if self.n_i else np.zeros((0, self.n))
 
-        blocks = [M for M in (self.A_eq, self.A_in) if M is not None and len(M)]
-        self.A_all = np.vstack(blocks) if blocks else np.zeros((0, self.n))
-        self.m_rows = self.A_all.shape[0]
+        # the equality rows the active-set solve works with: A_eq itself, or
+        # U_r' A_eq when A_eq has dependent rows, with U_r an orthonormal
+        # basis of range(A_eq). The basis and the largest singular value are
+        # kept only then: otherwise every b_eq is consistent.
+        self._eq_range = None
+        A_e = np.zeros((0, self.n))
+        if self.n_e:
+            U, s, _ = np.linalg.svd(self.A_eq, full_matrices=False)
+            rank = int(np.count_nonzero(s > s[0] * max(self.A_eq.shape)
+                                        * np.finfo(float).eps))
+            A_e = self.A_eq
+            if rank < self.n_e:
+                self._eq_range = (U[:, :rank], s[0])
+                A_e = U[:, :rank].T @ self.A_eq
+        self._rows_kkt = np.vstack([A_e, A_i])
+        self._n_e_solve = A_e.shape[0]
 
-        if self.m_rows:
-            self.D, self.E = _ruiz_equilibrate(self.P, self.A_all)
-            self.P_s = self.D[:, None] * self.P * self.D[None, :]
-            self.A_s = self.E[:, None] * self.A_all * self.D[None, :]
-        else:
-            self.D = np.ones(self.n)
-            self.E = np.zeros(0)
-            self.P_s = self.P
-            self.A_s = self.A_all
-
-        self._admm_factor_cache: dict[bytes, tuple] = {}
-
-        # polish in multiplier space on the Gram matrix A P^-1 A' when P > 0
+        # Schur complement of the bound rows in the Gram matrix A P^-1 A':
+        # T = S_ee^-1 S_ei, C = S_ii - S_ie T, and W = Y_i - Y_e T maps bound
+        # multipliers to z, where Y = P^-1 A'. Needs P > 0 and S_ee > 0;
+        # otherwise every sweep takes the KKT solve.
         self._chol_P = None
-        self._polish_Y = None
-        self._polish_gram = None
+        self._C = None
         try:
             self._chol_P = cho_factor(self.P)
         except (np.linalg.LinAlgError, ValueError):
             self._chol_P = None
         if self._chol_P is not None:
-            self._polish_Y = cho_solve(self._chol_P, self.A_all.T)
-            self._polish_gram = self.A_all @ self._polish_Y
+            Y = cho_solve(self._chol_P, self._rows_kkt.T)
+            S = self._rows_kkt @ Y
+            k = self._n_e_solve
+            S_ee, S_ei, S_ii = S[:k, :k], S[:k, k:], S[k:, k:]
+            c_ee = _spd_factor(S_ee)
+            if c_ee is not None:
+                T = _spd_solve(S_ee, c_ee, S_ei)
+                C = S_ii - S_ei.T @ T
+                self._S_ee, self._c_ee = S_ee, c_ee
+                self._S_ie = np.ascontiguousarray(S_ei.T)
+                self._T = T
+                self._C = 0.5 * (C + C.T)
+                self._Y_e = Y[:, :k]
+                self._W = Y[:, k:] - self._Y_e @ T
 
-        # orthonormal basis of range(A_eq) and its largest singular value,
-        # kept only when A_eq has dependent rows: otherwise every b_eq is
-        # consistent
-        self._eq_range = None
-        if self.n_e:
-            U, s, _ = np.linalg.svd(self.A_eq, full_matrices=False)
-            rank = int(np.count_nonzero(s > s[0] * max(self.A_eq.shape)
-                                        * np.finfo(float).eps))
-            if rank < self.n_e:
-                self._eq_range = (U[:, :rank], s[0])
+        # ADMM state (Ruiz scalings, scaled matrices, factor cache), built
+        # on first ADMM use
+        self._admm = None
+        self._admm_factor_cache: dict[bytes, tuple] = {}
 
-        # warm-start memory for repeated solves: the ADMM iterate and the
-        # working set (rows held at lower, rows held at upper) of the last
-        # certified solve
-        self._last_x = None
-        self._last_y = None
-        self._working_set = None
+        # warm-start memory for repeated solves: the last solution (z and its
+        # multipliers, as the next ADMM starting point) and the working set
+        # (rows held at lower, rows held at upper) of the last certified solve
+        self._last_iterate = None
+        self._working_set = self._previous_set = None
 
     # ---------------- residual bookkeeping ----------------
 
@@ -252,114 +302,141 @@ class QpSolver:
         s_aug = np.hypot(s_max, np.linalg.norm(b_eq))
         return resid <= s_aug * max(self.n_e, self.n + 1) * np.finfo(float).eps
 
-    # ---------------- polish ----------------
+    # ---------------- active set ----------------
 
-    def _polish(self, q, b_eq, lower, upper, low, up, max_sweeps=25):
+    def _shifted(self, working_set):
+        """A working set moved forward by seed_shift rows, the last rows repeated."""
+        s = self.seed_shift
+        return tuple(np.concatenate([w[s:], w[-s:]]) for w in working_set)
+
+    def _seed(self):
+        """The working set the next solve starts from, or None.
+
+        The last certified set, moved forward by seed_shift rows unless the
+        step before matched it better unmoved: a plan that stands still over
+        the horizon (a saturated steady state, say) keeps its set as it is.
+        """
+        current, previous = self._working_set, self._previous_set
+        if current is None or not self.seed_shift:
+            return current
+        if previous is not None:
+            def misses(seed):
+                return sum(np.count_nonzero(a != b) for a, b in zip(seed, current))
+            if misses(self._shifted(previous)) >= misses(previous):
+                return current
+        return self._shifted(current)
+
+    def _active_set(self, q, b_e, lower, upper, low, up, max_sweeps=25):
         """Active-set solve from a working set of inequality rows.
 
-        low and up are boolean masks of the rows held at their lower and
-        upper bound. Each sweep solves the equality-constrained QP on the
-        working set, then adds rows the solution pushed out of the box and
-        drops rows whose multiplier sign contradicts the side they are pinned
-        to, until the set stops changing. With P > 0 a sweep works on the
-        cached Gram matrix alone: it solves for the multipliers and reads
-        A_in z off them, and z itself is formed once at the end. Returns
-        (z, nu_eq, y, low, up) or None; the caller certifies the result, so a
-        bad outcome is merely discarded.
+        b_e is the right-hand side of the solve's equality rows. low and up
+        are boolean masks of the rows held at their lower and upper bound.
+        Each sweep solves the equality-constrained QP on the working set,
+        then adds rows the solution pushed out of the box and drops rows
+        whose multiplier sign contradicts the side they are pinned to, until
+        the set stops changing. On the Schur complement a sweep solves for
+        the bound multipliers alone and reads A_in z off them. Returns
+        ((z, nu_eq, y, low, up) or None, sweeps); the caller certifies the
+        result, so a bad outcome is merely discarded.
         """
         pinned = lower == upper
         # a row cannot be held at an infinite bound
         low = (low & np.isfinite(lower)) | pinned
         up = up & np.isfinite(upper) & ~pinned
-        gram = self._polish_gram
-        if gram is not None:
-            Pinv_q = cho_solve(self._chol_P, q, check_finite=False)
-            a = self.A_all @ Pinv_q
-        for sweep in range(max_sweeps):
-            rows_l = np.flatnonzero(low)
-            rows_u = np.flatnonzero(up)
-            idx = np.concatenate([np.arange(self.n_e), self.n_e + rows_l,
-                                  self.n_e + rows_u])
-            h = np.concatenate([b_eq, lower[rows_l], upper[rows_u]])
+        C = self._C
+        k_e = self._n_e_solve
+        if C is not None:
+            # dpotrs directly on the cached factor: cho_solve's checks cost
+            # more than the solve at these sizes
+            Pinv_q = dpotrs(self._chol_P[0], q, lower=self._chol_P[1])[0]
+            a = self._rows_kkt @ Pinv_q
+            nu0 = _spd_solve(self._S_ee, self._c_ee, -a[:k_e] - b_e)
+            r = -a[k_e:] - self._S_ie @ nu0
+        for sweep in range(1, max_sweeps + 1):
+            act = np.concatenate([np.flatnonzero(low), np.flatnonzero(up)])
+            h = np.where(low, lower, upper)[act]
             z = None
-            nu = None if gram is None else self._gram_solve(idx, -a[idx] - h)
-            if nu is None:
-                z, nu = self._kkt_solve(q, idx, h)
-                Az = self.A_in @ z if self.n_i else np.zeros(0)
-            else:
-                Az = -a[self.n_e:] - gram[self.n_e:, idx] @ nu
-            if not np.all(np.isfinite(nu)):
-                return None
-            k_l = self.n_e + len(rows_l)
             y = np.zeros(self.n_i)
-            y[rows_l] = nu[self.n_e : k_l]
-            y[rows_u] = nu[k_l:]
+            cC = None
+            if C is not None:
+                C_aa = C[act[:, None], act]
+                cC = _spd_factor(C_aa)
+            if cC is not None:
+                y[act] = _spd_solve(C_aa, cC, r[act] - h)
+                Az = r - C @ y
+            else:
+                z, nu, y[act] = self._kkt_solve(q, b_e, act, h)
+                Az = self._rows_kkt[k_e:] @ z
+            if not np.isfinite(y).all():
+                return None, sweep
 
             scale = max(1.0, float(np.max(np.abs(Az), initial=0.0)))
             tol = 1e-11 * scale
             # a low-pinned row wants y <= 0, an up-pinned row y >= 0
             new_low = (low & ~((y > tol) & ~pinned)) | (Az < lower - tol)
             new_up = ((up & ~(y < -tol)) | (Az > upper + tol)) & ~new_low
-            if (sweep == max_sweeps - 1 or (np.array_equal(new_low, low)
-                                            and np.array_equal(new_up, up))):
+            if (sweep == max_sweeps or (np.array_equal(new_low, low)
+                                        and np.array_equal(new_up, up))):
                 break
             low, up = new_low, new_up
 
         if z is None:
-            z = -Pinv_q - self._polish_Y[:, idx] @ nu
-        if not np.all(np.isfinite(z)):
-            return None
-        return z, nu[: self.n_e], y, low, up
+            nu = nu0 - self._T @ y
+            z = -Pinv_q - self._Y_e @ nu0 - self._W @ y
+        if not np.all(np.isfinite(z)) or not np.all(np.isfinite(nu)):
+            return None, sweep
+        if self._eq_range is not None:
+            nu = self._eq_range[0] @ nu
+        return (z, nu, y, low, up), sweep
 
-    def _gram_solve(self, idx, rhs):
-        """Multipliers from S nu = rhs with S the Gram block of rows idx.
+    def _kkt_solve(self, q, b_e, act, h):
+        """Regularized KKT solve with iterative refinement; returns (z, nu, y_act).
 
-        S + delta I is factored and the solution refined against S itself;
-        returns None when the factorization fails.
+        The path for singular P, and for blocks too ill-conditioned for a
+        Cholesky factorization.
         """
-        if not len(idx):
-            return np.zeros(0)
-        S = self._polish_gram[np.ix_(idx, idx)]
-        # LAPACK directly: a sweep's blocks are small, so call overhead counts
-        cS, info = dpotrf(S + _POLISH_DELTA * np.eye(len(idx)), clean=False)
-        if info:
-            return None
-        nu = dpotrs(cS, rhs)[0]
-        for _ in range(3):
-            nu = nu + dpotrs(cS, rhs - S @ nu)[0]
-        return nu
-
-    def _kkt_solve(self, q, idx, h):
-        """Regularized KKT solve with iterative refinement; returns (z, nu).
-
-        The path for singular P, and for Gram blocks too ill-conditioned for
-        a Cholesky factorization.
-        """
-        G = self.A_all[idx]
-        k = len(idx)
+        k_e = self._n_e_solve
+        G = self._rows_kkt[np.concatenate([np.arange(k_e), k_e + act])]
+        k = len(G)
         K = np.zeros((self.n + k, self.n + k))
         K[: self.n, : self.n] = self.P + _POLISH_DELTA * np.eye(self.n)
         K[: self.n, self.n :] = G.T
         K[self.n :, : self.n] = G
         K[self.n :, self.n :] = -_POLISH_DELTA * np.eye(k)
+        h = np.concatenate([b_e, h])
         lu = lu_factor(K, check_finite=False)
         sol = lu_solve(lu, np.concatenate([-q, h]), check_finite=False)
-        z, nu = sol[: self.n], sol[self.n :]
+        z, mult = sol[: self.n], sol[self.n :]
         for _ in range(3):
-            r1 = -q - self.P @ z - G.T @ nu
+            r1 = -q - self.P @ z - G.T @ mult
             r2 = h - G @ z
             d = lu_solve(lu, np.concatenate([r1, r2]), check_finite=False)
             z = z + d[: self.n]
-            nu = nu + d[self.n :]
-        return z, nu
+            mult = mult + d[self.n :]
+        return z, mult[:k_e], mult[k_e:]
 
     # ---------------- ADMM ----------------
+
+    def _admm_state(self):
+        """(D, E, P_s, A_s): Ruiz scalings and the scaled matrices, built once."""
+        if self._admm is None:
+            blocks = [M for M in (self.A_eq, self.A_in) if M is not None and len(M)]
+            A_all = np.vstack(blocks) if blocks else np.zeros((0, self.n))
+            if len(A_all):
+                D, E = _ruiz_equilibrate(self.P, A_all)
+                P_s = D[:, None] * self.P * D[None, :]
+                A_s = E[:, None] * A_all * D[None, :]
+            else:
+                D, E, P_s, A_s = np.ones(self.n), np.zeros(0), self.P, A_all
+            self._admm = (D, E, P_s, A_s)
+        return self._admm
 
     def _admm_factor(self, rho):
         key = rho.tobytes()
         hit = self._admm_factor_cache.get(key)
         if hit is None:
-            M = self.P_s + _SIGMA * np.eye(self.n) + (self.A_s.T * rho) @ self.A_s
+            _, _, P_s, A_s = self._admm_state()
+            M = P_s + _SIGMA * np.eye(self.n) + (A_s.T * rho) @ A_s
             hit = cho_factor(M)
             if len(self._admm_factor_cache) > 16:
                 self._admm_factor_cache.clear()
@@ -370,12 +447,12 @@ class QpSolver:
               tol_kkt=1e-8, tol_feas=1e-8, max_iter=20000):
         """Solve for one (q, b_eq, lower, upper) on the bound matrices.
 
-        The active-set solve runs first, from the working set of the previous
-        solve when that one certified, or from the empty set when there are
-        no inequality rows. ADMM runs only when there is no such seed or its
-        result does not certify; warm_start, if given, is the ADMM starting
-        point. q, b_eq and warm_start must be finite, the bounds free of NaN;
-        b_eq or bounds given to a solver without such rows are an error.
+        The active-set solve runs first, from the shifted working set of the
+        previous solve when that one certified, and from the empty set
+        otherwise. ADMM runs only when that result does not certify;
+        warm_start, if given, is the ADMM starting point. q, b_eq and
+        warm_start must be finite, the bounds free of NaN; b_eq or bounds
+        given to a solver without such rows are an error.
         """
         if max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -402,18 +479,21 @@ class QpSolver:
         if warm_start is not None:
             warm_start = _finite(_vec(warm_start, self.n, "warm_start"), "warm_start")
 
+        sweeps = 0
+
         def finish(z, nu, y, kkt, feas, iters, path, working_set=None,
                    failure="max_iterations"):
             # only a certified result seeds the next solve
             certified = kkt <= tol_kkt and feas <= tol_feas
             if not certified:
                 path, working_set = "uncertified", None
+            self._previous_set = None if working_set is None else self._working_set
             self._working_set = working_set
             return QpSolution(
                 z_star=z, objective=float(0.5 * z @ self.P @ z + q @ z),
                 status="optimal" if certified else failure,
                 kkt_residual=float(kkt), iterations=iters,
-                multipliers_eq=nu, multipliers_in=y, path=path,
+                multipliers_eq=nu, multipliers_in=y, path=path, sweeps=sweeps,
             )
 
         # equality system consistency gates everything downstream
@@ -422,41 +502,44 @@ class QpSolver:
             nu, y = np.zeros(self.n_e), np.zeros(self.n_i)
             kkt, _ = self._kkt_residual(z, nu, y, q, b_eq, lower, upper)
             return finish(z, nu, y, kkt, np.inf, 0, "uncertified", failure="infeasible")
+        b_e = b_eq if self._eq_range is None else self._eq_range[0].T @ b_eq
 
-        seed = self._working_set
-        if not self.n_i:
-            seed = (np.zeros(0, dtype=bool), np.zeros(0, dtype=bool))
-        if seed is not None:
-            polished = self._polish(q, b_eq, lower, upper, *seed)
-            if polished is not None:
-                z, nu, y, low, up = polished
-                kkt, feas = self._kkt_residual(z, nu, y, q, b_eq, lower, upper)
-                if kkt <= tol_kkt and feas <= tol_feas:
-                    self._remember_iterate(z, nu, y)
-                    return finish(z, nu, y, kkt, feas, 0, "warm", (low, up))
+        seed = self._seed()
+        path = "warm"
+        if seed is None:
+            seed = (np.zeros(self.n_i, dtype=bool),) * 2
+            path = "cold"
+        result, sweeps = self._active_set(q, b_e, lower, upper, *seed)
+        if result is not None:
+            z, nu, y, low, up = result
+            kkt, feas = self._kkt_residual(z, nu, y, q, b_eq, lower, upper)
+            if kkt <= tol_kkt and feas <= tol_feas:
+                self._remember_iterate(z, nu, y)
+                return finish(z, nu, y, kkt, feas, 0, path, (low, up))
 
+        D, E, P_s, A_s = self._admm_state()
         l_all = np.concatenate([b_eq, lower])
         u_all = np.concatenate([b_eq, upper])
-        l_s = self.E * np.where(np.isfinite(l_all), l_all, 0.0)
+        l_s = E * np.where(np.isfinite(l_all), l_all, 0.0)
         l_s = np.where(np.isfinite(l_all), l_s, -np.inf)
-        u_s = self.E * np.where(np.isfinite(u_all), u_all, 0.0)
+        u_s = E * np.where(np.isfinite(u_all), u_all, 0.0)
         u_s = np.where(np.isfinite(u_all), u_s, np.inf)
-        q_s = self.D * q
+        q_s = D * q
 
         eq_mask = np.isfinite(l_all) & np.isfinite(u_all) & (l_all == u_all)
         rho_base = _RHO0
         rho = np.where(eq_mask, _RHO_EQ_SCALE * rho_base, rho_base)
 
         if warm_start is not None:
-            x = warm_start / self.D
-            y = np.zeros(self.m_rows)
-        elif self._last_x is not None:
-            x = self._last_x.copy()
-            y = self._last_y.copy()
+            x = warm_start / D
+            y = np.zeros(len(E))
+        elif self._last_iterate is not None:
+            x = self._last_iterate[0] / D
+            y = self._last_iterate[1] / np.where(E > 0, E, 1.0)
         else:
             x = np.zeros(self.n)
-            y = np.zeros(self.m_rows)
-        zc = np.clip(self.A_s @ x, l_s, u_s)
+            y = np.zeros(len(E))
+        zc = np.clip(A_s @ x, l_s, u_s)
 
         factor = self._admm_factor(rho)
         best = None
@@ -465,17 +548,17 @@ class QpSolver:
         iters_done = max_iter
 
         for it in range(1, max_iter + 1):
-            rhs = _SIGMA * x - q_s + self.A_s.T @ (rho * zc - y)
+            rhs = _SIGMA * x - q_s + A_s.T @ (rho * zc - y)
             x_t = cho_solve(factor, rhs, check_finite=False)
-            z_t = self.A_s @ x_t
+            z_t = A_s @ x_t
             x = _ALPHA * x_t + (1.0 - _ALPHA) * x
             z_mix = _ALPHA * z_t + (1.0 - _ALPHA) * zc
             zc = np.clip(z_mix + y / rho, l_s, u_s)
             y = y + rho * (z_mix - zc)
 
             if it % _CHECK_EVERY == 0 or it == max_iter:
-                z_u = self.D * x
-                y_u = self.E * y
+                z_u = D * x
+                y_u = E * y
                 nu_u = y_u[: self.n_e]
                 yin_u = y_u[self.n_e :]
                 kkt, feas = self._kkt_residual(z_u, nu_u, yin_u, q, b_eq, lower, upper)
@@ -490,8 +573,9 @@ class QpSolver:
                 # land close) and periodically after that.
                 if (raw_ok or kkt <= polish_gate or it == _CHECK_EVERY
                         or it % _POLISH_EVERY == 0):
-                    polished = self._polish(q, b_eq, lower, upper,
-                                            yin_u < 0, yin_u > 0)
+                    polished, k = self._active_set(q, b_e, lower, upper,
+                                                   yin_u < 0, yin_u > 0)
+                    sweeps += k
                     if polished is not None:
                         pz, pnu, py, plow, pup = polished
                         pkkt, pfeas = self._kkt_residual(pz, pnu, py, q, b_eq,
@@ -508,14 +592,13 @@ class QpSolver:
                     break
 
             if it % _RHO_UPDATE_EVERY == 0 and refactors < _MAX_REFACTOR:
-                r_prim = np.max(np.abs(self.A_s @ x - zc), initial=0.0)
-                r_dual = np.max(np.abs(self.P_s @ x + q_s + self.A_s.T @ y),
-                                initial=0.0)
-                p_sc = max(np.max(np.abs(self.A_s @ x), initial=0.0),
+                r_prim = np.max(np.abs(A_s @ x - zc), initial=0.0)
+                r_dual = np.max(np.abs(P_s @ x + q_s + A_s.T @ y), initial=0.0)
+                p_sc = max(np.max(np.abs(A_s @ x), initial=0.0),
                            np.max(np.abs(zc), initial=0.0), 1e-12)
-                d_sc = max(np.max(np.abs(self.P_s @ x), initial=0.0),
+                d_sc = max(np.max(np.abs(P_s @ x), initial=0.0),
                            np.max(np.abs(q_s), initial=0.0),
-                           np.max(np.abs(self.A_s.T @ y), initial=0.0), 1e-12)
+                           np.max(np.abs(A_s.T @ y), initial=0.0), 1e-12)
                 ratio = np.sqrt((r_prim / p_sc) / max(r_dual / d_sc, 1e-16))
                 if ratio > 5.0 or ratio < 0.2:
                     rho_base = float(np.clip(rho_base * ratio, 1e-6, 1e6))
@@ -529,7 +612,5 @@ class QpSolver:
         return finish(z_u, nu_u, yin_u, kkt, feas, iters_done, "admm", working_set)
 
     def _remember_iterate(self, z, nu, y):
-        """Keep a solution, in scaled space, as the next ADMM starting point."""
-        self._last_x = z / self.D
-        self._last_y = np.concatenate([nu, y]) / np.where(self.E > 0, self.E, 1.0)
-
+        """Keep a solution, unscaled, as the next ADMM starting point."""
+        self._last_iterate = (z, np.concatenate([nu, y]))

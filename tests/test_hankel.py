@@ -5,6 +5,7 @@ import pytest
 
 from softdeepc.hankel import (
     BlockHankel,
+    HankelPartition,
     TrajectoryDataset,
     build_hankel,
     is_persistently_exciting,
@@ -73,6 +74,14 @@ class TestTrajectoryDataset:
         ds = TrajectoryDataset(inputs=np.zeros((5, 1)), outputs=np.zeros((5, 1)))
         with pytest.raises(ValueError):
             ds.inputs[0, 0] = 1.0
+
+    def test_caller_arrays_stay_writable(self):
+        # freezing used to flip the caller's own array to read-only
+        u = np.zeros((10, 2))
+        ds = TrajectoryDataset(u, np.zeros((10, 1)))
+        u[0, 0] = 1.0
+        assert ds.inputs[0, 0] == 0.0
+        assert not ds.inputs.flags.writeable
 
 
 class TestBuildHankel:
@@ -230,6 +239,16 @@ class TestPartition:
         for block in (part.Up, part.Uf, part.Yp, part.Yf):
             np.testing.assert_array_equal(part.matrix[rows : rows + block.shape[0]], block)
             rows += block.shape[0]
+
+    def test_caller_matrix_stays_writable(self):
+        matrix = np.arange(12.0).reshape(6, 2)
+        sv = np.array([3.0, 1.0])
+        part = HankelPartition(matrix=matrix, input_dim=1, output_dim=1, t_ini=2,
+                               horizon=1, singular_values=sv)
+        matrix[0, 0] = sv[0] = -1.0
+        assert part.matrix[0, 0] == 0.0 and part.singular_values[0] == 3.0
+        assert not part.matrix.flags.writeable
+        assert not part.singular_values.flags.writeable
 
     def test_depth_mismatch_rejected(self):
         u = np.random.default_rng(0).standard_normal(40)

@@ -5,8 +5,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles import collect_lti_dataset, random_minimal_lti
 
+from softdeepc import controller, experiments, qp
+from softdeepc.config import ExperimentConfig
+from softdeepc.controller import DeePCConfig, DeePCController, assemble
+from softdeepc.hankel import build_hankel, partition_past_future
+from softdeepc.plants import LtiPlant
 from softdeepc.qp import QpSolver
+from softdeepc.runlog import StageSpec
 
 
 def solve_once(P, q, A_eq=None, b_eq=None, A_in=None, lower=None,
@@ -393,14 +400,14 @@ class TestWarmPath:
             reused = solver.solve(q, b, lower, upper)
             paths.append(reused.path)
             oneshot = solve_once(base.P, q, base.A_eq, b, base.A_in, lower, upper)
-            assert oneshot.path == "admm"
+            assert oneshot.path == "cold"
             np.testing.assert_allclose(reused.z_star, oneshot.z_star, atol=1e-6)
             assert reused.objective == pytest.approx(oneshot.objective, abs=1e-8)
             self.oracle_check(reused, base.P, q, base.A_eq, b, base.A_in,
                               lower, upper)
-        assert paths[0] == "admm"
+        assert paths[0] == "cold"
         assert paths.count("warm") >= 6
-        assert all(p in ("warm", "admm") for p in paths)
+        assert all(p in ("warm", "cold") for p in paths)
 
     def test_warm_path_reports_zero_iterations(self):
         rng = np.random.default_rng(72)
@@ -408,8 +415,8 @@ class TestWarmPath:
         solver = QpSolver(prob.P, prob.A_eq, prob.A_in)
         cold = solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
         warm = solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
-        assert (cold.path, warm.path) == ("admm", "warm")
-        assert cold.iterations > 0
+        assert (cold.path, warm.path) == ("cold", "warm")
+        assert cold.sweeps > 0
         assert warm.iterations == 0
         np.testing.assert_allclose(warm.z_star, cold.z_star, atol=1e-8)
 
@@ -428,16 +435,41 @@ class TestWarmPath:
         self.oracle_check(sol, prob.P, q, prob.A_eq, prob.b_eq, prob.A_in,
                           prob.lower, prob.upper)
 
+    def test_drastic_cost_change_after_many_warm_solves_falls_back_to_admm(self):
+        # the ADMM state is built on this first use, from the last iterate.
+        # Most instances recover from the flipped cost on the active-set
+        # path; this one (seed 413, the first of 10 in seeds 0-2999 that
+        # start cold) does not, so ADMM has to run
+        rng = np.random.default_rng(413)
+        prob = random_strictly_convex(rng, n=10, n_e=2, n_i=8)
+        solver = QpSolver(prob.P, prob.A_eq, prob.A_in)
+        q = prob.q
+        paths = []
+        for _ in range(12):
+            q = q + 0.05 * rng.standard_normal(10)
+            paths.append(solver.solve(q, prob.b_eq, prob.lower, prob.upper).path)
+        assert paths[0] == "cold" and paths[1:] == ["warm"] * 11
+        q = -prob.q
+        sol = solver.solve(q, prob.b_eq, prob.lower, prob.upper)
+        assert (sol.status, sol.path) == ("optimal", "admm")
+        assert sol.iterations > 0 and sol.sweeps > 0
+        # here ADMM's own iterate certifies, at the KKT tolerance rather than
+        # exactly, so the objective agrees to 1e-7, not 1e-8
+        z_ref, obj_ref = active_set_oracle(prob.P, q, prob.A_eq, prob.b_eq,
+                                           prob.A_in, prob.lower, prob.upper)
+        np.testing.assert_allclose(sol.z_star, z_ref, atol=1e-6)
+        assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
+
     def test_uncertified_solve_does_not_seed_the_next(self):
         solver = QpSolver(np.eye(1), A_eq=[[1.0]], A_in=[[1.0]])
         first = solver.solve([0.0], [0.5], [0.0], [1.0])
-        assert (first.status, first.path) == ("optimal", "admm")
+        assert (first.status, first.path) == ("optimal", "cold")
         assert solver.solve([0.1], [0.5], [0.0], [1.0]).path == "warm"
         # the equality leaves the box: primal infeasible
         bad = solver.solve([0.0], [5.0], [0.0], [1.0], max_iter=300)
         assert (bad.status, bad.path) == ("max_iterations", "uncertified")
         again = solver.solve([0.0], [0.5], [0.0], [1.0])
-        assert (again.status, again.path) == ("optimal", "admm")
+        assert (again.status, again.path) == ("optimal", "cold")
         assert again.z_star[0] == pytest.approx(0.5, abs=1e-8)
 
     def test_warm_set_drops_rows_whose_bound_became_infinite(self):
@@ -461,13 +493,166 @@ class TestWarmPath:
             return np.array([(b + q[1] - q[0]) / 2, (b - q[1] + q[0]) / 2, -1.0])
 
         first = solver.solve(q + 0.1, [0.5, 1.0], lo, hi)
-        assert (first.status, first.path) == ("optimal", "admm")
+        assert (first.status, first.path) == ("optimal", "cold")
         warm = solver.solve(q, [0.4, 0.8], lo, hi)
         assert (warm.status, warm.path) == ("optimal", "warm")
         np.testing.assert_allclose(warm.z_star, expected(0.4), atol=1e-8)
         bad = solver.solve(q, [0.4, 1.0], lo, hi)
         assert (bad.status, bad.path) == ("infeasible", "uncertified")
         again = solver.solve(q, [0.3, 0.6], lo, hi)
-        assert (again.status, again.path) == ("optimal", "admm")
+        assert (again.status, again.path) == ("optimal", "cold")
         np.testing.assert_allclose(again.z_star, expected(0.3), atol=1e-8)
         assert solver.solve(q, [0.3, 0.6 + 1e-6], lo, hi).status == "infeasible"
+
+
+class TestSchurSweep:
+    """Sweeps on the Schur complement of the bound rows, against the oracle."""
+
+    @pytest.mark.parametrize("seed, n_e, n_i", [(81, 4, 8), (82, 6, 7), (83, 1, 9),
+                                                (84, 0, 8)])
+    def test_random_problems_match_oracle(self, seed, n_e, n_i):
+        prob = random_strictly_convex(np.random.default_rng(seed), 12, n_e, n_i)
+        solver = QpSolver(prob.P, prob.A_eq, prob.A_in)
+        sol = solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
+        assert (sol.status, sol.path, sol.iterations) == ("optimal", "cold", 0)
+        assert sol.sweeps >= 1
+        TestWarmPath.oracle_check(sol, prob.P, prob.q, prob.A_eq, prob.b_eq,
+                                  prob.A_in, prob.lower, prob.upper)
+
+    def test_dependent_equality_rows_with_positive_definite_cost(self):
+        rng = np.random.default_rng(85)
+        prob = random_strictly_convex(rng, n=10, n_e=2, n_i=6)
+        # the third row is a combination of the first two, and b_eq with it
+        A_eq = np.vstack([prob.A_eq, prob.A_eq[0] - 2.0 * prob.A_eq[1]])
+        b_eq = np.append(prob.b_eq, prob.b_eq[0] - 2.0 * prob.b_eq[1])
+        sol = QpSolver(prob.P, A_eq, prob.A_in).solve(prob.q, b_eq, prob.lower,
+                                                      prob.upper)
+        assert (sol.status, sol.path) == ("optimal", "cold")
+        assert sol.multipliers_eq.shape == (3,)
+        grad = (prob.P @ sol.z_star + prob.q + A_eq.T @ sol.multipliers_eq
+                + prob.A_in.T @ sol.multipliers_in)
+        assert np.max(np.abs(grad)) <= 1e-8 * max(1.0, np.max(np.abs(prob.q)))
+        # the oracle needs independent rows: the first two carry the same set
+        TestWarmPath.oracle_check(sol, prob.P, prob.q, prob.A_eq, prob.b_eq,
+                                  prob.A_in, prob.lower, prob.upper)
+
+    def test_failed_block_factorization_takes_kkt_solve(self, monkeypatch):
+        prob = random_strictly_convex(np.random.default_rng(86), 10, 3, 8)
+        solver = QpSolver(prob.P, prob.A_eq, prob.A_in)
+        factor = qp._spd_factor
+        kkt_rows = []
+        kkt_solve = solver._kkt_solve
+
+        def kkt_spy(q, b_e, act, h):
+            kkt_rows.append(len(act))
+            return kkt_solve(q, b_e, act, h)
+
+        # blocks of two or more active rows fail to factor; smaller ones
+        # still take the Schur complement, so a solve mixes both
+        monkeypatch.setattr(qp, "_spd_factor",
+                            lambda S: None if len(S) >= 2 else factor(S))
+        monkeypatch.setattr(solver, "_kkt_solve", kkt_spy)
+        sol = solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
+        assert sol.status == "optimal"
+        assert kkt_rows and max(kkt_rows) >= 2
+        TestWarmPath.oracle_check(sol, prob.P, prob.q, prob.A_eq, prob.b_eq,
+                                  prob.A_in, prob.lower, prob.upper)
+
+    def test_pinned_row_repeating_an_equality(self):
+        # a pinned bound row that repeats an equality row, scaled by 1e5: its
+        # Schur complement entry is zero up to round-off of either sign
+        rng = np.random.default_rng(3)
+        n = 5
+        M = rng.standard_normal((n, n))
+        P = M @ M.T + n * np.eye(n)
+        A_eq = rng.standard_normal((2, n))
+        A_in = np.vstack([np.eye(n), 1e5 * A_eq[0]])
+        z0 = rng.standard_normal(n)
+        b_eq = A_eq @ z0
+        lower = np.append(z0 - 0.3, 1e5 * b_eq[0])
+        upper = np.append(z0 + 0.3, 1e5 * b_eq[0])
+        q = 5.0 * rng.standard_normal(n)
+        sol = QpSolver(P, A_eq, A_in).solve(q, b_eq, lower, upper)
+        assert sol.status == "optimal"
+        z_ref, obj_ref = active_set_oracle(P, q, A_eq, b_eq, A_in[:n], lower[:n],
+                                           upper[:n])
+        np.testing.assert_allclose(sol.z_star, z_ref, atol=1e-6)
+        assert sol.objective == pytest.approx(obj_ref, abs=1e-8)
+
+
+class TestSeedShift:
+    """The working set moved forward one input block between receding-horizon
+    solves, against the same solves seeded unmoved."""
+
+    def test_seed_shift_validated(self):
+        with pytest.raises(ValueError, match="seed_shift"):
+            QpSolver(np.eye(2), seed_shift=-1)
+        with pytest.raises(TypeError):
+            QpSolver(np.eye(2), seed_shift=1.5)
+
+    @staticmethod
+    def twin_solver(pairs):
+        """A QpSolver that also solves each problem on an unshifted twin."""
+
+        class Twin(QpSolver):
+            def __init__(self, P, A_eq=None, A_in=None, seed_shift=0):
+                super().__init__(P, A_eq, A_in, seed_shift=seed_shift)
+                self.unshifted = QpSolver(P, A_eq, A_in)
+
+            def solve(self, *args, **kwargs):
+                sol = super().solve(*args, **kwargs)
+                pairs.append((sol, self.unshifted.solve(*args, **kwargs)))
+                return sol
+
+        return Twin
+
+    @staticmethod
+    def check_pairs(pairs):
+        for shifted, unshifted in pairs:
+            assert shifted.status == unshifted.status == "optimal"
+            np.testing.assert_allclose(shifted.z_star, unshifted.z_star,
+                                       rtol=0, atol=1e-9)
+
+    def test_lti_loop_agrees_and_a_standing_plan_keeps_its_set(self, monkeypatch):
+        # the closed loop of TestClosedLoop.test_regulates_to_reference, with
+        # the input box narrowed to +-1 so that bounds bind
+        pairs = []
+        monkeypatch.setattr(controller, "QpSolver", self.twin_solver(pairs))
+        rng = np.random.default_rng(23)
+        A, B, C, D = random_minimal_lti(rng, 3, 1, 1)
+        u_d, y_d = collect_lti_dataset(A, B, C, D, rng, 200)
+        part = partition_past_future(build_hankel(u_d, 13), build_hankel(y_d, 13),
+                                     3, 10)
+        tpl = assemble(DeePCConfig(t_ini=3, horizon=10, R=0.01, lambda_g=1.0,
+                                   lambda_y=1e6, u_lower=-1.0, u_upper=1.0), part)
+        assert tpl.solver.seed_shift == 1
+        plant = LtiPlant(A, B, C, D)
+        ctrl = DeePCController(tpl)
+        rng2 = np.random.default_rng(100)
+        for _ in range(3):
+            u = 0.1 * rng2.standard_normal(1)
+            ctrl.observe(u, plant.step(u))
+        for _ in range(40):
+            u0, _, fell_back = ctrl.compute(np.full((10, 1), 1.5))
+            assert not fell_back
+            ctrl.observe(u0, plant.step(u0))
+        self.check_pairs(pairs)
+        # the plan saturates and then stands still over the horizon: moving
+        # its working set would be wrong every step, so the seed stays put
+        assert np.count_nonzero(pairs[-1][0].multipliers_in) >= 5
+        assert [s.sweeps for s, _ in pairs[-20:]] == [1] * 20
+
+    def test_soft_arm_loop_agrees_with_fewer_sweeps(self, monkeypatch):
+        # the shipped rank-220 controller on two fixed-point stages
+        pairs = []
+        monkeypatch.setattr(controller, "QpSolver", self.twin_solver(pairs))
+        cfg = ExperimentConfig()
+        dataset = experiments.collect_dataset(cfg, seed=0)
+        experiments.run_fixed_point(cfg, seed=1, dataset=dataset,
+                                    stages=[StageSpec(20.0, 0.0, 60),
+                                            StageSpec(40.0, 60.0, 60)])
+        assert len(pairs) == 120
+        self.check_pairs(pairs)
+        shifted = sum(s.sweeps for s, _ in pairs)
+        unshifted = sum(u.sweeps for _, u in pairs)
+        assert shifted <= unshifted
