@@ -228,8 +228,8 @@ def assemble(config: DeePCConfig, data) -> DeePCTemplate:
     return DeePCTemplate(config, data)
 
 
-def step(template: DeePCTemplate, history: HistoryBuffer, reference_window,
-         warm_start=None) -> DeePCStepResult:
+def step(template: DeePCTemplate, history: HistoryBuffer,
+         reference_window) -> DeePCStepResult:
     """Solve one receding-horizon problem; apply only the first input."""
     cfg = template.config
     N, m, p = cfg.horizon, template.m, template.p
@@ -245,7 +245,7 @@ def step(template: DeePCTemplate, history: HistoryBuffer, reference_window,
     q = -(template._ref_map @ refs) - (template._ini_map @ y_ini)
     b_eq = np.concatenate([u_ini, y_ini]) if template.hard_history else u_ini
     sol = template.solver.solve(
-        q, b_eq, template.box_lower, template.box_upper, warm_start=warm_start,
+        q, b_eq, template.box_lower, template.box_upper,
         tol_kkt=cfg.tol_kkt, tol_feas=cfg.tol_feas, max_iter=cfg.max_iter,
     )
 

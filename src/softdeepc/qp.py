@@ -16,6 +16,12 @@ rows are replaced by the same number of independent ones spanning their
 range, and their multipliers are mapped back. A singular P, or a block whose
 Cholesky factorization fails, takes a regularized KKT solve instead.
 
+With P > 0 a solve reads the n x n data in three level-2 BLAS passes and
+copies nothing of that size: P^-1 q is two triangular solves on the cached
+Cholesky factor, and the certifier's P z is one symmetric product, which
+also gives the objective. The rest of the solve works on the n x rows maps
+and the small blocks.
+
 The working set of the last certified solve seeds the next solve ("warm"),
 shifted forward by seed_shift rows. In a receding-horizon loop whose bound
 rows are the future inputs, a shift of one input block lines the previous
@@ -41,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg.blas import dsymv, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = ["QpSolution", "QpSolver"]
@@ -150,8 +157,13 @@ def _ruiz_equilibrate(P, A, iterations=10):
     return D, E
 
 
+def _amax(x):
+    """max |x|, 0 for an empty x; the ndarray method skips np.max's dispatch."""
+    return abs(x).max(initial=0.0)
+
+
 def _finite(x, name):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite")
     return x
 
@@ -179,7 +191,8 @@ class QpSolver:
         self.seed_shift = operator.index(seed_shift)
         if self.seed_shift < 0:
             raise ValueError(f"seed_shift must be >= 0, got {seed_shift}")
-        self.P = 0.5 * (P + P.T)
+        # C-ordered, so that self.P.T is an F-ordered view BLAS reads in place
+        self.P = np.ascontiguousarray(0.5 * (P + P.T))
         self.P.flags.writeable = False
         self.n = P.shape[0]
         self.A_eq = _rows(A_eq, self.n, "A_eq")
@@ -212,7 +225,7 @@ class QpSolver:
         self._chol_P = None
         self._C = None
         try:
-            self._chol_P = cho_factor(self.P)
+            self._chol_P = cho_factor(self.P, lower=False)
         except (np.linalg.LinAlgError, ValueError):
             self._chol_P = None
         if self._chol_P is not None:
@@ -245,52 +258,52 @@ class QpSolver:
     # ---------------- residual bookkeeping ----------------
 
     def _kkt_residual(self, z, nu, y, q, b_eq, lower, upper):
-        """Relative KKT residual with floor 1, plus the feasibility part alone."""
-        Pz = self.P @ z
+        """(KKT residual, its feasibility part, objective) at z.
+
+        Residuals are relative with floor 1. P z is one dsymv on the
+        F-ordered view of the symmetric P, and it gives the objective too.
+        """
+        Pz = dsymv(1.0, self.P.T, z)
         grad = Pz + q
-        terms = [np.max(np.abs(Pz), initial=0.0), np.max(np.abs(q), initial=0.0)]
+        terms = [_amax(Pz), _amax(q)]
         if self.n_e:
             Ae_nu = self.A_eq.T @ nu
-            grad = grad + Ae_nu
-            terms.append(np.max(np.abs(Ae_nu), initial=0.0))
+            grad += Ae_nu
+            terms.append(_amax(Ae_nu))
         if self.n_i:
             Ai_y = self.A_in.T @ y
-            grad = grad + Ai_y
-            terms.append(np.max(np.abs(Ai_y), initial=0.0))
-        r_stat = np.max(np.abs(grad), initial=0.0) / max(1.0, *terms)
+            grad += Ai_y
+            terms.append(_amax(Ai_y))
+        r_stat = _amax(grad) / max(1.0, *terms)
 
         r_eq = 0.0
         if self.n_e:
             Az = self.A_eq @ z
-            scale = max(1.0, np.max(np.abs(Az), initial=0.0),
-                        np.max(np.abs(b_eq), initial=0.0))
-            r_eq = np.max(np.abs(Az - b_eq), initial=0.0) / scale
+            r_eq = _amax(Az - b_eq) / max(1.0, _amax(Az), _amax(b_eq))
 
         r_box = 0.0
         r_comp = 0.0
         if self.n_i:
             Az = self.A_in @ z
+            az = _amax(Az)
+            fin_l, fin_u = np.isfinite(lower), np.isfinite(upper)
             viol = np.maximum(np.maximum(lower - Az, Az - upper), 0.0)
             viol = np.where(np.isfinite(viol), viol, 0.0)
-            bound_mag = np.abs(np.concatenate([lower[np.isfinite(lower)],
-                                               upper[np.isfinite(upper)]]))
-            scale = max(1.0, np.max(np.abs(Az), initial=0.0),
-                        np.max(bound_mag, initial=0.0))
-            r_box = np.max(viol, initial=0.0) / scale
+            bound_mag = max(abs(lower).max(initial=0.0, where=fin_l),
+                            abs(upper).max(initial=0.0, where=fin_u))
+            r_box = viol.max(initial=0.0) / max(1.0, az, bound_mag)
 
             # complementarity: positive multiplier needs the upper gap closed,
             # negative the lower gap; min(|y|, gap) vanishes iff one of them does
-            gap_u = np.where(np.isfinite(upper), np.maximum(upper - Az, 0.0), np.inf)
-            gap_l = np.where(np.isfinite(lower), np.maximum(Az - lower, 0.0), np.inf)
+            gap_u = np.where(fin_u, np.maximum(upper - Az, 0.0), np.inf)
+            gap_l = np.where(fin_l, np.maximum(Az - lower, 0.0), np.inf)
             comp = np.where(y > 0, np.minimum(y, gap_u),
                             np.where(y < 0, np.minimum(-y, gap_l), 0.0))
-            cscale = max(1.0, np.max(np.abs(y), initial=0.0),
-                         np.max(np.abs(Az), initial=0.0))
-            r_comp = np.max(comp, initial=0.0) / cscale
+            r_comp = comp.max(initial=0.0) / max(1.0, _amax(y), az)
 
         kkt = max(r_stat, r_eq, r_box, r_comp)
         feas = max(r_eq, r_box)
-        return kkt, feas
+        return kkt, feas, float(0.5 * z @ Pz + q @ z)
 
     def _eq_consistent(self, b_eq):
         """Whether b_eq lies in range(A_eq), at the tolerance of matrix_rank."""
@@ -346,9 +359,11 @@ class QpSolver:
         C = self._C
         k_e = self._n_e_solve
         if C is not None:
-            # dpotrs directly on the cached factor: cho_solve's checks cost
-            # more than the solve at these sizes
-            Pinv_q = dpotrs(self._chol_P[0], q, lower=self._chol_P[1])[0]
+            # two triangular solves on the cached upper factor (P = U'U),
+            # each reading its triangle in place from the F-ordered array:
+            # less than half the time dpotrs takes for one right-hand side
+            U = self._chol_P[0]
+            Pinv_q = dtrsv(U, dtrsv(U, q, trans=1), trans=0, overwrite_x=1)
             a = self._rows_kkt @ Pinv_q
             nu0 = _spd_solve(self._S_ee, self._c_ee, -a[:k_e] - b_e)
             r = -a[k_e:] - self._S_ie @ nu0
@@ -370,20 +385,19 @@ class QpSolver:
             if not np.isfinite(y).all():
                 return None, sweep
 
-            scale = max(1.0, float(np.max(np.abs(Az), initial=0.0)))
+            scale = max(1.0, float(_amax(Az)))
             tol = 1e-11 * scale
             # a low-pinned row wants y <= 0, an up-pinned row y >= 0
             new_low = (low & ~((y > tol) & ~pinned)) | (Az < lower - tol)
             new_up = ((up & ~(y < -tol)) | (Az > upper + tol)) & ~new_low
-            if (sweep == max_sweeps or (np.array_equal(new_low, low)
-                                        and np.array_equal(new_up, up))):
+            if sweep == max_sweeps or ((new_low == low).all() and (new_up == up).all()):
                 break
             low, up = new_low, new_up
 
         if z is None:
             nu = nu0 - self._T @ y
             z = -Pinv_q - self._Y_e @ nu0 - self._W @ y
-        if not np.all(np.isfinite(z)) or not np.all(np.isfinite(nu)):
+        if not (np.isfinite(z).all() and np.isfinite(nu).all()):
             return None, sweep
         if self._eq_range is not None:
             nu = self._eq_range[0] @ nu
@@ -443,16 +457,16 @@ class QpSolver:
             self._admm_factor_cache[key] = hit
         return hit
 
-    def solve(self, q, b_eq=None, lower=None, upper=None, warm_start=None,
+    def solve(self, q, b_eq=None, lower=None, upper=None,
               tol_kkt=1e-8, tol_feas=1e-8, max_iter=20000):
         """Solve for one (q, b_eq, lower, upper) on the bound matrices.
 
         The active-set solve runs first, from the shifted working set of the
         previous solve when that one certified, and from the empty set
-        otherwise. ADMM runs only when that result does not certify;
-        warm_start, if given, is the ADMM starting point. q, b_eq and
-        warm_start must be finite, the bounds free of NaN; b_eq or bounds
-        given to a solver without such rows are an error.
+        otherwise. ADMM runs only when that result does not certify, from
+        the last solution or from zero. q and b_eq must be finite, the
+        bounds free of NaN; b_eq or bounds given to a solver without such
+        rows are an error.
         """
         if max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -468,20 +482,18 @@ class QpSolver:
         if self.n_i:
             lower = np.full(self.n_i, -np.inf) if lower is None else _vec(lower, self.n_i, "lower")
             upper = np.full(self.n_i, np.inf) if upper is None else _vec(upper, self.n_i, "upper")
-            if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+            if np.isnan(lower).any() or np.isnan(upper).any():
                 raise ValueError("bounds must not contain NaN")
-            if np.any(lower > upper):
+            if (lower > upper).any():
                 raise ValueError("lower must be <= upper elementwise")
         elif any(b is not None and len(np.atleast_1d(b)) for b in (lower, upper)):
             raise ValueError("lower/upper given but solver has no inequality rows")
         else:
             lower = upper = np.zeros(0)
-        if warm_start is not None:
-            warm_start = _finite(_vec(warm_start, self.n, "warm_start"), "warm_start")
 
         sweeps = 0
 
-        def finish(z, nu, y, kkt, feas, iters, path, working_set=None,
+        def finish(z, nu, y, kkt, feas, objective, iters, path, working_set=None,
                    failure="max_iterations"):
             # only a certified result seeds the next solve
             certified = kkt <= tol_kkt and feas <= tol_feas
@@ -490,7 +502,7 @@ class QpSolver:
             self._previous_set = None if working_set is None else self._working_set
             self._working_set = working_set
             return QpSolution(
-                z_star=z, objective=float(0.5 * z @ self.P @ z + q @ z),
+                z_star=z, objective=objective,
                 status="optimal" if certified else failure,
                 kkt_residual=float(kkt), iterations=iters,
                 multipliers_eq=nu, multipliers_in=y, path=path, sweeps=sweeps,
@@ -500,8 +512,9 @@ class QpSolver:
         if not self._eq_consistent(b_eq):
             z, *_ = np.linalg.lstsq(self.A_eq, b_eq, rcond=None)
             nu, y = np.zeros(self.n_e), np.zeros(self.n_i)
-            kkt, _ = self._kkt_residual(z, nu, y, q, b_eq, lower, upper)
-            return finish(z, nu, y, kkt, np.inf, 0, "uncertified", failure="infeasible")
+            kkt, _, objective = self._kkt_residual(z, nu, y, q, b_eq, lower, upper)
+            return finish(z, nu, y, kkt, np.inf, objective, 0, "uncertified",
+                          failure="infeasible")
         b_e = b_eq if self._eq_range is None else self._eq_range[0].T @ b_eq
 
         seed = self._seed()
@@ -512,10 +525,10 @@ class QpSolver:
         result, sweeps = self._active_set(q, b_e, lower, upper, *seed)
         if result is not None:
             z, nu, y, low, up = result
-            kkt, feas = self._kkt_residual(z, nu, y, q, b_eq, lower, upper)
+            kkt, feas, objective = self._kkt_residual(z, nu, y, q, b_eq, lower, upper)
             if kkt <= tol_kkt and feas <= tol_feas:
                 self._remember_iterate(z, nu, y)
-                return finish(z, nu, y, kkt, feas, 0, path, (low, up))
+                return finish(z, nu, y, kkt, feas, objective, 0, path, (low, up))
 
         D, E, P_s, A_s = self._admm_state()
         l_all = np.concatenate([b_eq, lower])
@@ -530,10 +543,7 @@ class QpSolver:
         rho_base = _RHO0
         rho = np.where(eq_mask, _RHO_EQ_SCALE * rho_base, rho_base)
 
-        if warm_start is not None:
-            x = warm_start / D
-            y = np.zeros(len(E))
-        elif self._last_iterate is not None:
+        if self._last_iterate is not None:
             x = self._last_iterate[0] / D
             y = self._last_iterate[1] / np.where(E > 0, E, 1.0)
         else:
@@ -561,7 +571,8 @@ class QpSolver:
                 y_u = E * y
                 nu_u = y_u[: self.n_e]
                 yin_u = y_u[self.n_e :]
-                kkt, feas = self._kkt_residual(z_u, nu_u, yin_u, q, b_eq, lower, upper)
+                kkt, feas, _ = self._kkt_residual(z_u, nu_u, yin_u, q, b_eq,
+                                                  lower, upper)
                 if best is None or kkt < best[0]:
                     best = (kkt, z_u.copy(), nu_u.copy(), yin_u.copy(),
                             (yin_u < 0, yin_u > 0))
@@ -578,8 +589,8 @@ class QpSolver:
                     sweeps += k
                     if polished is not None:
                         pz, pnu, py, plow, pup = polished
-                        pkkt, pfeas = self._kkt_residual(pz, pnu, py, q, b_eq,
-                                                         lower, upper)
+                        pkkt, pfeas, _ = self._kkt_residual(pz, pnu, py, q, b_eq,
+                                                            lower, upper)
                         if pkkt <= tol_kkt and pfeas <= tol_feas:
                             best = (pkkt, pz, pnu, py, (plow, pup))
                             iters_done = it
@@ -607,9 +618,11 @@ class QpSolver:
                     refactors += 1
 
         kkt, z_u, nu_u, yin_u, working_set = best
-        _, feas = self._kkt_residual(z_u, nu_u, yin_u, q, b_eq, lower, upper)
+        _, feas, objective = self._kkt_residual(z_u, nu_u, yin_u, q, b_eq,
+                                                lower, upper)
         self._remember_iterate(z_u, nu_u, yin_u)
-        return finish(z_u, nu_u, yin_u, kkt, feas, iters_done, "admm", working_set)
+        return finish(z_u, nu_u, yin_u, kkt, feas, objective, iters_done, "admm",
+                      working_set)
 
     def _remember_iterate(self, z, nu, y):
         """Keep a solution, unscaled, as the next ADMM starting point."""

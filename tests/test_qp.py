@@ -1,5 +1,6 @@
 """Tests for the dense QP solver."""
 
+import tracemalloc
 from itertools import combinations, product
 from types import SimpleNamespace
 
@@ -20,6 +21,13 @@ def solve_once(P, q, A_eq=None, b_eq=None, A_in=None, lower=None,
                upper=None, **options):
     """One solve on a fresh solver, so no working set carries over."""
     return QpSolver(P, A_eq, A_in).solve(q, b_eq, lower, upper, **options)
+
+
+def assert_dense_objective(sol, P, q):
+    """The reported objective is 0.5 z'Pz + q'z, recomputed densely, to 1e-12."""
+    z = sol.z_star
+    P, q = np.asarray(P, dtype=float), np.asarray(q, dtype=float)
+    assert sol.objective == pytest.approx(0.5 * z @ P @ z + q @ z, rel=1e-12)
 
 
 def active_set_oracle(P, q, A_eq, b_eq, A_in, lower, upper):
@@ -207,11 +215,13 @@ class TestBasicSolves:
         np.testing.assert_allclose(sol.z_star, [1.5, 1.5], atol=1e-8)
 
     def test_psd_singular_cost(self):
-        # flat direction pinned by a bound: P singular but problem bounded
+        # flat direction pinned by a bound: P singular but problem bounded.
+        # P has no Cholesky factor, so every sweep takes the KKT solve
         sol = solve_once(np.diag([1.0, 0.0]), [0.0, 1.0],
                          A_in=np.eye(2), lower=[-5.0, -1.0], upper=[5.0, 1.0])
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.z_star, [0.0, -1.0], atol=1e-7)
+        assert_dense_objective(sol, np.diag([1.0, 0.0]), [0.0, 1.0])
 
 
 class TestOracleComparison:
@@ -240,8 +250,9 @@ class TestOracleComparison:
 class TestStatusPaths:
     def test_infeasible_equalities(self):
         # rows demand z=1 and z=2 simultaneously
-        sol = solve_once(np.eye(1), [0.0], A_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0])
+        sol = solve_once(np.eye(1), [0.3], A_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0])
         assert sol.status == "infeasible"
+        assert_dense_objective(sol, np.eye(1), [0.3])
 
     def test_consistent_redundant_equalities_ok(self):
         sol = solve_once(np.eye(1), [0.0], A_eq=[[1.0], [2.0]], b_eq=[1.0, 2.0])
@@ -295,11 +306,16 @@ class TestOptimalityProperties:
             assert drop <= 1e-8
 
     def test_warm_start_same_answer(self):
+        # seeded from the working set of a perturbed cost, the solve ends
+        # where the solve from the empty set does
         rng = np.random.default_rng(21)
         prob = random_strictly_convex(rng, n=15, n_e=4, n_i=8)
         cold = solve_once(**vars(prob))
-        warm = solve_once(**vars(prob),
-                          warm_start=cold.z_star + rng.standard_normal(15))
+        solver = QpSolver(prob.P, prob.A_eq, prob.A_in)
+        solver.solve(prob.q + rng.standard_normal(15), prob.b_eq, prob.lower,
+                     prob.upper)
+        warm = solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
+        assert (cold.path, warm.path) == ("cold", "warm")
         assert cold.status == warm.status == "optimal"
         np.testing.assert_allclose(cold.z_star, warm.z_star, atol=1e-6)
         assert cold.objective == pytest.approx(warm.objective, abs=1e-8)
@@ -419,6 +435,8 @@ class TestWarmPath:
         assert cold.sweeps > 0
         assert warm.iterations == 0
         np.testing.assert_allclose(warm.z_star, cold.z_star, atol=1e-8)
+        assert_dense_objective(cold, prob.P, prob.q)
+        assert_dense_objective(warm, prob.P, prob.q)
 
     def test_drastic_cost_change_falls_back_to_admm(self):
         rng = np.random.default_rng(56)
@@ -434,6 +452,7 @@ class TestWarmPath:
         assert sol.iterations > 0
         self.oracle_check(sol, prob.P, q, prob.A_eq, prob.b_eq, prob.A_in,
                           prob.lower, prob.upper)
+        assert_dense_objective(sol, prob.P, q)
 
     def test_drastic_cost_change_after_many_warm_solves_falls_back_to_admm(self):
         # the ADMM state is built on this first use, from the last iterate.
@@ -656,3 +675,36 @@ class TestSeedShift:
         shifted = sum(s.sweeps for s, _ in pairs)
         unshifted = sum(u.sweeps for _, u in pairs)
         assert shifted <= unshifted
+
+
+class TestSolveCost:
+    """Per solve: two triangular solves on P's factor, one product with P."""
+
+    def test_no_rows_is_the_unconstrained_minimum(self):
+        rng = np.random.default_rng(82)
+        M = rng.standard_normal((50, 50))
+        P = M @ M.T + 50 * np.eye(50)
+        q = rng.standard_normal(50)
+        sol = QpSolver(P).solve(q)
+        assert (sol.status, sol.path) == ("optimal", "cold")
+        z_ref = np.linalg.solve(P, -q)
+        assert np.linalg.norm(sol.z_star - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
+        assert_dense_objective(sol, P, q)
+
+    def test_warm_solve_allocates_less_than_one_matrix(self):
+        # a C-ordered Cholesky factor, or P where its F-ordered view P.T is
+        # meant, would make the BLAS wrapper copy an n x n matrix per call
+        n = 600
+        rng = np.random.default_rng(83)
+        prob = random_strictly_convex(rng, n=n, n_e=20, n_i=40)
+        solver = QpSolver(prob.P, prob.A_eq, prob.A_in)
+        solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
+        q = prob.q + 0.01 * rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            sol = solver.solve(q, prob.b_eq, prob.lower, prob.upper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (sol.status, sol.path) == ("optimal", "warm")
+        assert peak < n * n * 8
