@@ -35,8 +35,12 @@ __all__ = [
 ]
 
 
-def _weight_matrix(value, dim: int, name: str) -> np.ndarray:
-    """Normalize a scalar or matrix weight to a symmetric PSD (dim, dim)."""
+def _weight_matrix(value, dim: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A scalar or matrix weight as a symmetric PSD (dim, dim) W and a root L.
+
+    L'L = W, with one row of L per positive eigenvalue of W: eigenvalues
+    negative within round-off count as 0, so a singular W has fewer rows.
+    """
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         if arr < 0:
@@ -47,10 +51,11 @@ def _weight_matrix(value, dim: int, name: str) -> np.ndarray:
     if np.max(np.abs(arr - arr.T), initial=0.0) > 1e-10 * max(1.0, np.max(np.abs(arr))):
         raise ValueError(f"{name} must be symmetric")
     arr = 0.5 * (arr + arr.T)
-    eigs = np.linalg.eigvalsh(arr)
+    eigs, V = np.linalg.eigh(arr)
     if eigs[0] < -1e-10 * max(1.0, eigs[-1]):
         raise ValueError(f"{name} must be positive semidefinite")
-    return arr
+    keep = eigs > 0
+    return arr, np.sqrt(eigs[keep])[:, None] * V[:, keep].T
 
 
 @dataclass(frozen=True)
@@ -182,19 +187,30 @@ class DeePCTemplate:
         self.n_g = self.Up.shape[1]
 
         N, t_ini = config.horizon, config.t_ini
-        Q = _weight_matrix(config.Q, self.p, "Q")
-        R = _weight_matrix(config.R, self.m, "R")
+        Q, Q_root = _weight_matrix(config.Q, self.p, "Q")
+        R, R_root = _weight_matrix(config.R, self.m, "R")
         self.Qt = np.kron(np.eye(N), Q)
         self.Rt = np.kron(np.eye(N), R)
         self.hard_history = math.isinf(config.lambda_y)
 
-        QtYf = self.Qt @ self.Yf
-        P = 2.0 * (self.Yf.T @ QtYf + self.Uf.T @ self.Rt @ self.Uf
-                   + config.lambda_g * np.eye(self.n_g))
+        def per_step(root, block):
+            """(2 W)^1/2 applied to each step's rows of block, W = root' root."""
+            steps = block.reshape(N, root.shape[1], self.n_g)
+            return ((math.sqrt(2.0) * root) @ steps).reshape(-1, self.n_g)
+
+        # P = Hw' Hw + 2 lambda_g I, with Hw stacking the weighted rows
+        # (2R)^1/2 Uf, (2Q)^1/2 Yf and (2 lambda_y)^1/2 Yp (a zero weight adds
+        # no rows). numpy runs Hw.T @ Hw as one SYRK, so P is exactly symmetric.
+        blocks = [per_step(R_root, self.Uf), per_step(Q_root, self.Yf)]
         if not self.hard_history and config.lambda_y > 0.0:
-            P = P + 2.0 * config.lambda_y * (self.Yp.T @ self.Yp)
-        self.P = 0.5 * (P + P.T)
+            blocks.append(math.sqrt(2.0 * config.lambda_y) * self.Yp)
+        Hw = np.vstack(blocks)
+        self.P = Hw.T @ Hw
+        self.P[np.diag_indices(self.n_g)] += 2.0 * config.lambda_g
+        # the solver keeps P by reference
+        self.P.flags.writeable = False
         # q(y_ref, y_ini) = -ref_map @ y_ref - ini_map @ y_ini
+        QtYf = (Q @ self.Yf.reshape(N, self.p, self.n_g)).reshape(-1, self.n_g)
         self._ref_map = 2.0 * QtYf.T
         self._ini_map = (np.zeros((self.n_g, self.p * t_ini)) if self.hard_history
                          else 2.0 * config.lambda_y * self.Yp.T)

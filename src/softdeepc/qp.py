@@ -6,9 +6,11 @@
 
 Method: an active-set solve in the multiplier space, after the online
 active-set idea of qpOASES (Ferreau, Bock & Diehl, 2008). With P > 0 the
-equality rows are eliminated once, at construction: the solver factors the
-equality block S_ee of the Gram matrix S = A P^-1 A' and keeps the Schur
-complement C = S_ii - S_ie S_ee^-1 S_ei of the bound rows. Each sweep then
+equality rows are eliminated once, at construction, in whitened coordinates:
+with the Cholesky factor P = U'U and X = U^-T A' (A the equality rows over
+the bound rows), the Gram matrix is S = A P^-1 A' = X'X. The solver factors
+its equality block S_ee and keeps the Schur complement
+C = S_ii - S_ie S_ee^-1 S_ei of the bound rows. Each sweep then
 factors only the block of C on the working set (the rows held at a bound),
 reads A_in z off the bound multipliers, and adds or drops rows until the
 set stops changing; nu and z are formed once at the end. Dependent equality
@@ -16,11 +18,18 @@ rows are replaced by the same number of independent ones spanning their
 range, and their multipliers are mapped back. A singular P, or a block whose
 Cholesky factorization fails, takes a regularized KKT solve instead.
 
+Construction reads P in one finiteness check and one exact-symmetry check,
+keeps an exactly symmetric P as given (a nearly symmetric one costs one
+n x n copy for its symmetric part), and then does one Cholesky factorization
+(dpotrf), one triangular solve with the rows as right-hand sides (dtrsm)
+and one symmetric product X'X. The factor U is the only n x n array of
+floats it makes; X and the map of bound multipliers are n x rows.
+
 With P > 0 a solve reads the n x n data in three level-2 BLAS passes and
-copies nothing of that size: P^-1 q is two triangular solves on the cached
-Cholesky factor, and the certifier's P z is one symmetric product, which
-also gives the objective. The rest of the solve works on the n x rows maps
-and the small blocks.
+copies nothing of that size: w = U^-T q and z = -U^-1 (w + X_e nu0 + X_W y)
+are the two triangular solves on the cached factor, and the certifier's P z
+is one symmetric product, which also gives the objective. The rest of the
+solve works on the n x rows maps and the small blocks.
 
 The working set of the last certified solve seeds the next solve ("warm"),
 shifted forward by seed_shift rows. In a receding-horizon loop whose bound
@@ -47,8 +56,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
-from scipy.linalg.blas import dsymv, dtrsv
+from scipy.linalg.blas import dsymv, dtrsm, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs
+
+from .hankel import singular_value_rank
+from .reduction import left_singular
 
 __all__ = ["QpSolution", "QpSolver"]
 
@@ -71,7 +83,7 @@ def _vec(x, n, name):
 
 
 def _rows(A, n, name):
-    """A read-only (rows, n) copy of a constraint matrix, or None.
+    """A read-only, finite (rows, n) copy of a constraint matrix, or None.
 
     A copy, so that freezing it leaves the caller's array writable.
     """
@@ -80,8 +92,29 @@ def _rows(A, n, name):
     A = np.array(A, dtype=float, order="C")
     if A.ndim != 2 or A.shape[1] != n:
         raise ValueError(f"{name} must be (rows, {n}), got {A.shape}")
+    _finite(A, name)
     A.flags.writeable = False
     return A
+
+
+def _symmetric(P):
+    """A read-only C-ordered view of a finite square P, or its symmetric part.
+
+    An exactly symmetric P is kept as given, without a copy. Otherwise
+    P - P' is formed once: it measures the asymmetry, which must be within
+    1e-10 of max |P|, and its buffer then receives 0.5 (P + P').
+    """
+    if (P == P.T).all():
+        S = np.ascontiguousarray(P).view()
+    else:
+        S = np.subtract(P, P.T, order="C")
+        asym = max(S.max(), -S.min())
+        if asym > 1e-10 * max(1.0, P.max(), -P.min()):
+            raise ValueError(f"P is not symmetric (max asymmetry {asym:.3e})")
+        S = np.add(P, P.T, out=S)
+        S *= 0.5
+    S.flags.writeable = False
+    return S
 
 
 def _spd_factor(S):
@@ -185,15 +218,11 @@ class QpSolver:
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"P must be square, got shape {P.shape}")
-        asym = np.max(np.abs(P - P.T), initial=0.0)
-        if asym > 1e-10 * max(1.0, np.max(np.abs(P), initial=0.0)):
-            raise ValueError(f"P is not symmetric (max asymmetry {asym:.3e})")
         self.seed_shift = operator.index(seed_shift)
         if self.seed_shift < 0:
             raise ValueError(f"seed_shift must be >= 0, got {seed_shift}")
         # C-ordered, so that self.P.T is an F-ordered view BLAS reads in place
-        self.P = np.ascontiguousarray(0.5 * (P + P.T))
-        self.P.flags.writeable = False
+        self.P = _symmetric(_finite(P, "P"))
         self.n = P.shape[0]
         self.A_eq = _rows(A_eq, self.n, "A_eq")
         self.A_in = _rows(A_in, self.n, "A_in")
@@ -202,35 +231,33 @@ class QpSolver:
         A_i = self.A_in if self.n_i else np.zeros((0, self.n))
 
         # the equality rows the active-set solve works with: A_eq itself, or
-        # U_r' A_eq when A_eq has dependent rows, with U_r an orthonormal
+        # W_r' A_eq when A_eq has dependent rows, with W_r an orthonormal
         # basis of range(A_eq). The basis and the largest singular value are
         # kept only then: otherwise every b_eq is consistent.
         self._eq_range = None
         A_e = np.zeros((0, self.n))
         if self.n_e:
-            U, s, _ = np.linalg.svd(self.A_eq, full_matrices=False)
-            rank = int(np.count_nonzero(s > s[0] * max(self.A_eq.shape)
-                                        * np.finfo(float).eps))
+            W, s = left_singular(self.A_eq)
+            rank = singular_value_rank(s, self.A_eq.shape)
             A_e = self.A_eq
             if rank < self.n_e:
-                self._eq_range = (U[:, :rank], s[0])
-                A_e = U[:, :rank].T @ self.A_eq
+                self._eq_range = (W[:, :rank], s[0])
+                A_e = W[:, :rank].T @ self.A_eq
         self._rows_kkt = np.vstack([A_e, A_i])
         self._n_e_solve = A_e.shape[0]
 
-        # Schur complement of the bound rows in the Gram matrix A P^-1 A':
-        # T = S_ee^-1 S_ei, C = S_ii - S_ie T, and W = Y_i - Y_e T maps bound
-        # multipliers to z, where Y = P^-1 A'. Needs P > 0 and S_ee > 0;
-        # otherwise every sweep takes the KKT solve.
-        self._chol_P = None
+        # Schur complement of the bound rows in the Gram matrix A P^-1 A',
+        # in whitened coordinates: with P = U'U and X = U^-T A', the Gram
+        # matrix is S = X'X. T = S_ee^-1 S_ei, C = S_ii - S_ie T, and
+        # X_W = X_i - X_e T maps bound multipliers to U z. Needs P > 0 and
+        # S_ee > 0; otherwise every sweep takes the KKT solve. U is F-ordered
+        # (dpotrf reads the F-ordered view P.T, equal to P) and only its upper
+        # triangle is ever read, so it is not cleaned.
         self._C = None
-        try:
-            self._chol_P = cho_factor(self.P, lower=False)
-        except (np.linalg.LinAlgError, ValueError):
-            self._chol_P = None
-        if self._chol_P is not None:
-            Y = cho_solve(self._chol_P, self._rows_kkt.T)
-            S = self._rows_kkt @ Y
+        U, info = dpotrf(self.P.T, lower=0, clean=0)
+        if not info:
+            X = dtrsm(1.0, U, self._rows_kkt.T, lower=0, trans_a=1)
+            S = X.T @ X
             k = self._n_e_solve
             S_ee, S_ei, S_ii = S[:k, :k], S[:k, k:], S[k:, k:]
             c_ee = _spd_factor(S_ee)
@@ -241,8 +268,10 @@ class QpSolver:
                 self._S_ie = np.ascontiguousarray(S_ei.T)
                 self._T = T
                 self._C = 0.5 * (C + C.T)
-                self._Y_e = Y[:, :k]
-                self._W = Y[:, k:] - self._Y_e @ T
+                self._U = U
+                self._X = X
+                self._X_e = X[:, :k]
+                self._X_W = X[:, k:] - self._X_e @ T
 
         # ADMM state (Ruiz scalings, scaled matrices, factor cache), built
         # on first ADMM use
@@ -359,12 +388,12 @@ class QpSolver:
         C = self._C
         k_e = self._n_e_solve
         if C is not None:
-            # two triangular solves on the cached upper factor (P = U'U),
-            # each reading its triangle in place from the F-ordered array:
-            # less than half the time dpotrs takes for one right-hand side
-            U = self._chol_P[0]
-            Pinv_q = dtrsv(U, dtrsv(U, q, trans=1), trans=0, overwrite_x=1)
-            a = self._rows_kkt @ Pinv_q
+            # w = U^-T q, so that A P^-1 q = X'w. This and the solve for z
+            # below are the two triangular solves on the cached upper factor
+            # (P = U'U), each reading its triangle in place from the
+            # F-ordered array
+            w = dtrsv(self._U, q, trans=1)
+            a = self._X.T @ w
             nu0 = _spd_solve(self._S_ee, self._c_ee, -a[:k_e] - b_e)
             r = -a[k_e:] - self._S_ie @ nu0
         for sweep in range(1, max_sweeps + 1):
@@ -396,7 +425,8 @@ class QpSolver:
 
         if z is None:
             nu = nu0 - self._T @ y
-            z = -Pinv_q - self._Y_e @ nu0 - self._W @ y
+            # z = -P^-1 (q + A_e' nu0 + (A_i - T' A_e)' y)
+            z = -dtrsv(self._U, w + self._X_e @ nu0 + self._X_W @ y, overwrite_x=1)
         if not (np.isfinite(z).all() and np.isfinite(nu).all()):
             return None, sweep
         if self._eq_range is not None:

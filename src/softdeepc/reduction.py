@@ -6,15 +6,37 @@ columns that spans (approximately) the same trajectory space, shrinking
 the decision variable of the downstream predictive controller from
 T - L + 1 to r. Raw and condensed data share one type, HankelPartition:
 condensation keeps the row blocks and cuts the columns.
+
+Only the left singular vectors W and the singular values s are needed, so
+the right factor is never formed. A wide stack (more columns than rows, the
+usual case) is first reduced by a QR factorization of its transpose,
+stack' = Q R: then stack = R' Q' with Q orthonormal, so the SVD of the
+rows x rows triangle R' has the same W and s, and the columns enter only
+through the QR (Zhang, Zheng, Shang & Li, "Dimension reduction for
+efficient data-enabled predictive control", IEEE L-CSS 2023).
 """
 
 import dataclasses
 
 import numpy as np
+from scipy.linalg import qr
 
 from .hankel import HankelPartition, numerical_rank
 
 __all__ = ["select_rank", "factorize_and_condense"]
+
+
+def left_singular(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(W, s) of the thin SVD matrix = W diag(s) V', without forming V.
+
+    A wide matrix is reduced to the triangle R' of the QR factorization of
+    its transpose first. The matrix must be finite.
+    """
+    rows, cols = matrix.shape
+    if cols > rows:
+        matrix = qr(matrix.T, mode="r", check_finite=False)[0][:rows].T
+    W, s, _ = np.linalg.svd(matrix, full_matrices=False)
+    return W, s
 
 
 def select_rank(singular_values, energy_fraction: float = 0.999) -> int:
@@ -48,7 +70,7 @@ def factorize_and_condense(partition: HankelPartition, r: int | None = None,
     """
     stack = partition.matrix
     max_r = min(stack.shape)
-    W, s, _ = np.linalg.svd(stack, full_matrices=False)
+    W, s = left_singular(stack)
     if r is None:
         r = min(select_rank(s, energy_fraction), numerical_rank(stack))
     else:

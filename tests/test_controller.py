@@ -123,15 +123,35 @@ class TestAssemble:
         np.testing.assert_array_equal(tpl.Rt, np.kron(np.eye(6), 2e-3 * np.eye(2)))
 
     def test_quadratic_term_formula(self):
+        # (Q, R, lambda_y, the PSD weight the dense formula uses for Q); p = m = 2
+        rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+        Q_full = np.array([[3.0, 1.2], [1.2, 0.8]])
+        Q_rank_one = np.array([[1.0, -2.0], [-2.0, 4.0]])
+        cases = {
+            "scalar": (2.0, 0.5, 11.0, 2.0 * np.eye(2)),
+            "non-diagonal": (Q_full, np.array([[0.5, 0.1], [0.1, 0.3]]), 11.0, Q_full),
+            "singular Q": (Q_rank_one, 0.5, 11.0, Q_rank_one),
+            "R = 0, lambda_y = 0": (2.0, 0.0, 0.0, 2.0 * np.eye(2)),
+            "hard history": (2.0, 0.5, math.inf, 2.0 * np.eye(2)),
+            # an eigenvalue of -1e-11 passes the PSD check as round-off; P is
+            # built from the weight with it clipped to 0
+            "negative within tolerance": (rot @ np.diag([-1e-11, 2.0]) @ rot.T, 0.5,
+                                          11.0, rot @ np.diag([0.0, 2.0]) @ rot.T),
+        }
         _, part = self.setup_data(seed=3)
-        cfg = DeePCConfig(t_ini=4, horizon=6, Q=2.0, R=0.5, lambda_g=7.0,
-                          lambda_y=11.0)
-        tpl = assemble(cfg, part)
         K = part.columns
-        expected = 2.0 * (part.Yf.T @ tpl.Qt @ part.Yf
-                          + part.Uf.T @ tpl.Rt @ part.Uf
-                          + 11.0 * part.Yp.T @ part.Yp + 7.0 * np.eye(K))
-        np.testing.assert_allclose(tpl.P, expected, rtol=1e-12)
+        for case, (Q, R, lambda_y, Q_psd) in cases.items():
+            cfg = DeePCConfig(t_ini=4, horizon=6, Q=Q, R=R, lambda_g=7.0,
+                              lambda_y=lambda_y)
+            tpl = assemble(cfg, part)
+            R_mat = R * np.eye(2) if np.ndim(R) == 0 else R
+            expected = 2.0 * (part.Yf.T @ np.kron(np.eye(6), Q_psd) @ part.Yf
+                              + part.Uf.T @ np.kron(np.eye(6), R_mat) @ part.Uf
+                              + 7.0 * np.eye(K))
+            if not math.isinf(lambda_y):
+                expected += 2.0 * lambda_y * part.Yp.T @ part.Yp
+            np.testing.assert_allclose(tpl.P, expected, rtol=1e-12, err_msg=case)
+            assert (tpl.P == tpl.P.T).all(), case
 
     def test_hard_history_moves_yp_to_equalities(self):
         _, part = self.setup_data()

@@ -132,6 +132,25 @@ class TestProblemValidation:
         solver = QpSolver(P)
         np.testing.assert_array_equal(solver.P, solver.P.T)
 
+    def test_symmetric_P_stored_as_given(self):
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((6, 6))
+        P = M.T @ M + np.eye(6)
+        assert (P == P.T).all()
+        solver = QpSolver(P)
+        assert solver.P.tobytes() == P.tobytes()
+        assert np.shares_memory(solver.P, P)
+        assert solver.P.flags.c_contiguous and not solver.P.flags.writeable
+        assert P.flags.writeable
+
+    @pytest.mark.parametrize("name", ["P", "A_eq", "A_in"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_matrix_rejected(self, name, bad):
+        mats = {"P": np.eye(2), "A_eq": np.ones((1, 2)), "A_in": np.eye(2)}
+        mats[name][-1, -1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            QpSolver(**mats)
+
     def test_bound_order_rejected(self):
         with pytest.raises(ValueError, match="lower"):
             solve_once(np.eye(1), [0.0], A_in=[[1.0]], lower=[2.0], upper=[1.0])
@@ -708,3 +727,18 @@ class TestSolveCost:
             tracemalloc.stop()
         assert (sol.status, sol.path) == ("optimal", "warm")
         assert peak < n * n * 8
+
+    def test_construction_allocates_one_factor(self):
+        # the Cholesky factor is the one n x n array construction must make;
+        # a copy of an exactly symmetric P, a symmetrized temporary or an
+        # n x n P^-1 product would each add another (about 1.48 n^2 doubles
+        # now, 2.52 with the copy and the separate checks)
+        n = 600
+        prob = random_strictly_convex(np.random.default_rng(84), n=n, n_e=20, n_i=40)
+        tracemalloc.start()
+        try:
+            QpSolver(prob.P, prob.A_eq, prob.A_in)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * n * n * 8

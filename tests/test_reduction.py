@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from softdeepc import experiments, reduction
+from softdeepc.config import ExperimentConfig
 from softdeepc.hankel import (
     HankelPartition,
     build_hankel,
@@ -214,6 +216,44 @@ class TestFactorizeAndCondense:
             cond.matrix[0, 0] = 5.0
         with pytest.raises(ValueError):
             cond.singular_values[0] = 5.0
+
+
+def plain_svd(matrix):
+    """(W, s) from np.linalg.svd of the matrix itself: the reference."""
+    W, s, _ = np.linalg.svd(matrix, full_matrices=False)
+    return W, s
+
+
+class TestQrFirstSvd:
+    """The QR-first factorization against np.linalg.svd of the stack itself."""
+
+    @pytest.mark.parametrize("T, wide", [(200, True), (30, False)],
+                             ids=["wide", "tall"])
+    def test_matches_plain_svd(self, T, wide):
+        part = make_partition(seed=21, T=T)
+        stack = part.matrix
+        assert (stack.shape[1] > stack.shape[0]) == wide
+        W, s = plain_svd(stack)
+        cond = factorize_and_condense(part, r=min(stack.shape))
+        assert cond.singular_values.shape == (min(stack.shape),)
+        np.testing.assert_allclose(cond.singular_values, s, rtol=1e-12)
+        # singular vectors are defined up to sign: align each column first
+        ref = W * s
+        aligned = ref * np.sign(np.sum(ref * cond.matrix, axis=0))
+        assert np.linalg.norm(cond.matrix - aligned) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_energy_rule_rank_matches_plain_svd_on_shipped_data(self, monkeypatch):
+        cfg = ExperimentConfig()
+        dataset = experiments.collect_dataset(cfg, seed=0)
+        depth = cfg.t_ini + cfg.horizon
+        partition = partition_past_future(build_hankel(dataset.inputs, depth),
+                                          build_hankel(dataset.outputs, depth),
+                                          cfg.t_ini, cfg.horizon)
+        picked = experiments._raise_rank_until_feasible(partition, cfg.reduction_energy)
+        monkeypatch.setattr(reduction, "left_singular", plain_svd)
+        reference = experiments._raise_rank_until_feasible(partition,
+                                                           cfg.reduction_energy)
+        assert picked.rank_used == reference.rank_used
 
 
 class TestCondensedPartitionValidation:
