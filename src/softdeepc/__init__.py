@@ -52,7 +52,7 @@ from .plants import (
     DisturbanceConfig,
     LtiPlant,
     SoftArmPlant,
-    arm_sim_step,
+    arm_sim_run,
 )
 from .qp import QpSolution, QpSolver
 from .reduction import factorize_and_condense, select_rank
@@ -90,7 +90,7 @@ __all__ = [
     "SoftArmPlant",
     "StageSpec",
     "TrajectoryDataset",
-    "arm_sim_step",
+    "arm_sim_run",
     "assemble",
     "baseline_control",
     "bending_from_lengths",

@@ -97,9 +97,8 @@ def _collect_dither(
     cfg: ExperimentConfig, seed: int, disturbed: bool, task: str
 ) -> TrajectoryDataset:
     """One continuous run of uniform dither around each task operating point."""
-    plant = build_plant(cfg, seed=seed, disturbed=disturbed)
     hw = cfg.dither_halfwidth
-    inputs, outputs = [], []
+    inputs = []
     for i, (center, steps) in enumerate(_stage_dither_centers(cfg, task)):
         spec = ExcitationSpec(
             kind="uniform_random",
@@ -110,10 +109,7 @@ def _collect_dither(
             total_steps=steps,
             seed=seed + 7 * i,
         )
-        u = generate_excitation(spec, pe_order=None, channels=3)
-        for k in range(steps):
-            outputs.append(plant.step(u[k]))
-        inputs.append(u)
+        inputs.append(generate_excitation(spec, pe_order=None, channels=3))
     inputs = np.vstack(inputs)
     exciting, rank = is_persistently_exciting(inputs, cfg.pe_order())
     if not exciting:
@@ -121,7 +117,8 @@ def _collect_dither(
             f"dither excitation failed the order-{cfg.pe_order()} richness check "
             f"(rank {rank}); widen dither_halfwidth or lengthen dataset_steps"
         )
-    return TrajectoryDataset(inputs=inputs, outputs=np.asarray(outputs))
+    plant = build_plant(cfg, seed=seed, disturbed=disturbed)
+    return TrajectoryDataset(inputs=inputs, outputs=plant.run(inputs))
 
 
 def collect_dataset(
@@ -156,10 +153,7 @@ def collect_dataset(
         spec, pe_order=cfg.pe_order(), channels=3, max_retries=cfg.pe_retries
     )
     plant = build_plant(cfg, seed=seed, disturbed=disturbed)
-    outputs = np.empty_like(inputs)
-    for k in range(len(inputs)):
-        outputs[k] = plant.step(inputs[k])
-    return TrajectoryDataset(inputs=inputs, outputs=outputs)
+    return TrajectoryDataset(inputs=inputs, outputs=plant.run(inputs))
 
 
 def _raise_rank_until_feasible(partition, energy_fraction):
@@ -372,12 +366,8 @@ class _BaselinePolicy:
 
 def _prime_deepc(controller: DeePCController, plant: SoftArmPlant, t_ini: int, prime_u):
     """Fill the controller history by driving the plant with fixed inputs."""
-    prime_u = np.asarray(prime_u, dtype=float).reshape(3)
-    inputs = np.tile(prime_u, (t_ini, 1))
-    outputs = np.empty((t_ini, 3))
-    for k in range(t_ini):
-        outputs[k] = plant.step(inputs[k])
-    controller.prime(inputs, outputs)
+    inputs = np.tile(np.asarray(prime_u, dtype=float).reshape(3), (t_ini, 1))
+    controller.prime(inputs, plant.run(inputs))
 
 
 def _make_policy(
@@ -401,9 +391,7 @@ def _make_policy(
             geometry=plant.geometry, u_lower=cfg.u_lower, u_upper=cfg.u_upper
         )
         # settle the plant through the same priming phase as the data-driven run
-        prime = np.asarray(prime_u, dtype=float).reshape(3)
-        for _ in range(cfg.t_ini):
-            plant.step(prime)
+        plant.run(np.tile(np.asarray(prime_u, dtype=float).reshape(3), (cfg.t_ini, 1)))
         return _BaselinePolicy(base, refs)
     raise ValueError(f"unknown controller kind {kind!r}; use 'deepc' or 'baseline'")
 

@@ -64,6 +64,10 @@ class ArmGeometry:
         if np.max(np.abs(spacing - expected)) > 1e-12:
             raise ValueError("cable_angles must be spaced 2*pi/3 apart")
         object.__setattr__(self, "cable_angles", tuple(float(a) for a in ang))
+        # (cos, sin) of each station for bending_from_lengths; not a field,
+        # so eq, hash and repr ignore it
+        object.__setattr__(self, "_stations", tuple(
+            (math.cos(a), math.sin(a)) for a in self.cable_angles))
 
 
 def _check_phi(phi_b: float) -> float:
@@ -145,12 +149,19 @@ def bending_from_lengths(lengths, geom: ArmGeometry) -> tuple[float, float]:
     three lengths does not change the result (the station cosines and
     sines each sum to zero), which is what lets pretensioned commands
     reproduce the same bending.
+
+    lengths is any sequence of three floats; the arithmetic is on Python
+    floats, since the plant calls this once per control period.
     """
-    lengths = np.asarray(lengths, dtype=float).reshape(3)
-    theta = np.asarray(geom.cable_angles)
-    delta = (geom.segment_length - lengths) / geom.cable_offset
-    c1 = (2.0 / 3.0) * float(np.cos(theta) @ delta)
-    c2 = (2.0 / 3.0) * float(np.sin(theta) @ delta)
+    l1, l2, l3 = lengths
+    L = geom.segment_length
+    a = geom.cable_offset
+    d1 = (L - l1) / a
+    d2 = (L - l2) / a
+    d3 = (L - l3) / a
+    (k1, s1), (k2, s2), (k3, s3) = geom._stations
+    c1 = (2.0 / 3.0) * (k1 * d1 + k2 * d2 + k3 * d3)
+    c2 = (2.0 / 3.0) * (s1 * d1 + s2 * d2 + s3 * d3)
     phi_b = math.hypot(c1, c2)
     gamma_g = math.atan2(c2, c1) if phi_b > 1e-12 else 0.0
     if gamma_g < 0.0:

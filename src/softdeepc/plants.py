@@ -6,6 +6,11 @@ lagged lengths invert to a nominal bending state, configurable
 curvature-model violations (gravity sag, direction-dependent stiffness)
 distort that state, and the measured tip is the constant-curvature forward
 map of the distorted state plus Gaussian sensor noise.
+
+One rollout, arm_sim_run, applies a whole input sequence: dataset
+collection, the controller's priming and the closed loop (one row per
+period) all go through it. Its loop runs on Python floats and takes the
+kinematics from kinematics.py, so the arm's physics lives in one place.
 """
 
 import math
@@ -20,7 +25,7 @@ __all__ = [
     "DisturbanceConfig",
     "ArmState",
     "SoftArmPlant",
-    "arm_sim_step",
+    "arm_sim_run",
     "LtiPlant",
 ]
 
@@ -81,42 +86,66 @@ class ArmState:
                    lag_lengths=np.full(3, geom.segment_length), time=0.0)
 
 
-def arm_sim_step(state: ArmState, u, dt: float, geom: ArmGeometry, tau: float,
-                 disturbances: DisturbanceConfig,
-                 rng: np.random.Generator) -> tuple[ArmState, np.ndarray]:
-    """Advance the surrogate arm one control period; returns (state, tip).
+def arm_sim_run(state: ArmState, inputs, dt: float, geom: ArmGeometry,
+                tau: float, disturbances: DisturbanceConfig,
+                rng: np.random.Generator) -> tuple[ArmState, np.ndarray]:
+    """Apply a (T, 3) input sequence one control period per row.
 
-    Deterministic for a given rng state. Inputs outside [0, 90] clamp with
-    a warning; clamping is the only saturation behavior.
+    Returns the state after the last row and the (T, 3) measured tips.
+    Deterministic for a given rng state: the noise of all T rows is one
+    draw, the same stream as T draws of three. Inputs outside [0, 90]
+    clamp, with one warning per call; clamping is the only saturation
+    behavior. T = 0 returns no tips and touches neither state nor rng.
     """
-    u = np.asarray(u, dtype=float).reshape(3)
-    if np.any(u < U_MIN - 1e-12) or np.any(u > U_MAX + 1e-12):
-        warnings.warn(
-            f"actuation {u} outside [{U_MIN}, {U_MAX}] clamped", stacklevel=2
-        )
-    u = np.clip(u, U_MIN, U_MAX)
+    u = np.asarray(inputs, dtype=float)
+    if u.ndim != 2 or u.shape[1] != 3:
+        raise ValueError(f"inputs must have shape (T, 3), got {u.shape}")
+    T = u.shape[0]
+    tips = np.empty((T, 3))
+    if T == 0:
+        return state, tips
+    lo, hi = u.min(), u.max()
+    if lo < U_MIN or hi > U_MAX:
+        if lo < U_MIN - 1e-12 or hi > U_MAX + 1e-12:
+            warnings.warn(
+                f"actuation outside [{U_MIN}, {U_MAX}] clamped (range "
+                f"[{lo:.6g}, {hi:.6g}] over {T} periods)", stacklevel=2
+            )
+        u = np.clip(u, U_MIN, U_MAX)
 
-    l_cmd = geom.segment_length - geom.u_to_length_gain * u
+    L = geom.segment_length
+    l_cmd = L - geom.u_to_length_gain * u
     # exact discretization of  l' = (l_cmd - l)/tau  over one period
     decay = math.exp(-dt / tau)
-    l_new = l_cmd + (state.lag_lengths - l_cmd) * decay
-
-    phi_nom, gamma = bending_from_lengths(l_new, geom)
-    sagged = phi_nom + disturbances.gravity_sag * math.sin(phi_nom)
-    phi_dist = sagged * (1.0 + disturbances.stiffness_eps * math.cos(3.0 * gamma))
-    phi_dist = min(max(phi_dist, 0.0), math.pi * (1.0 - 1e-12))
-
-    tip = cc_forward(phi_dist, gamma, geom.segment_length)
+    sag = disturbances.gravity_sag
+    eps = disturbances.stiffness_eps
+    l1, l2, l3 = state.lag_lengths.tolist()
+    t = state.time
+    for k, (c1, c2, c3) in enumerate(l_cmd.tolist()):
+        l1 = c1 + (l1 - c1) * decay
+        l2 = c2 + (l2 - c2) * decay
+        l3 = c3 + (l3 - c3) * decay
+        phi_nom, gamma = bending_from_lengths((l1, l2, l3), geom)
+        sagged = phi_nom + sag * math.sin(phi_nom)
+        phi = sagged * (1.0 + eps * math.cos(3.0 * gamma))
+        phi = min(max(phi, 0.0), math.pi * (1.0 - 1e-12))
+        tips[k] = cc_forward(phi, gamma, L)
+        t += dt
     if disturbances.noise_std > 0.0:
-        tip = tip + rng.normal(0.0, disturbances.noise_std, size=3)
+        tips += rng.normal(0.0, disturbances.noise_std, size=(T, 3))
 
-    new_state = ArmState(phi_b=phi_dist, gamma_g=gamma, lag_lengths=l_new,
-                         time=state.time + dt)
-    return new_state, tip
+    new_state = ArmState(phi_b=phi, gamma_g=gamma, lag_lengths=(l1, l2, l3),
+                         time=t)
+    return new_state, tips
 
 
 class SoftArmPlant:
-    """Single-owner stateful wrapper around arm_sim_step."""
+    """Single-owner stateful wrapper around arm_sim_run.
+
+    run(inputs) applies a whole input sequence in one rollout; step(u) is
+    its one-row case, so a sequence gives the same tips, state and noise
+    whether it is run at once or stepped row by row.
+    """
 
     def __init__(self, geometry: ArmGeometry | None = None, tau: float = 0.15,
                  dt: float = 0.05,
@@ -143,11 +172,16 @@ class SoftArmPlant:
     def output_dim(self) -> int:
         return 3
 
+    def run(self, inputs) -> np.ndarray:
+        """Apply each row of a (T, 3) input sequence; returns the (T, 3) tips (mm)."""
+        self.state, tips = arm_sim_run(self.state, inputs, self.dt,
+                                       self.geometry, self.tau,
+                                       self.disturbances, self.rng)
+        return tips
+
     def step(self, u) -> np.ndarray:
         """Apply u for one period; returns the measured tip (mm)."""
-        self.state, tip = arm_sim_step(self.state, u, self.dt, self.geometry,
-                                       self.tau, self.disturbances, self.rng)
-        return tip
+        return self.run(np.reshape(u, (1, 3)))[0]
 
     def reset(self, seed: int | None = None):
         """Return to rest; reseeding restores the exact noise sequence."""

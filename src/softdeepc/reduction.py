@@ -21,7 +21,9 @@ import dataclasses
 import numpy as np
 from scipy.linalg import qr
 
-from .hankel import HankelPartition, numerical_rank
+# numerical_rank is not called here, but stays importable under this name:
+# the benchmark tracer wraps reduction.numerical_rank.
+from .hankel import HankelPartition, numerical_rank, singular_value_rank  # noqa: F401
 
 __all__ = ["select_rank", "factorize_and_condense"]
 
@@ -64,7 +66,8 @@ def factorize_and_condense(partition: HankelPartition, r: int | None = None,
     """Thin-SVD the stacked [Up; Uf; Yp; Yf] matrix and keep r columns.
 
     With r=None the rank is picked by the energy rule at energy_fraction,
-    capped at the numerical rank of the stack. The condensed matrix is
+    capped at the numerical rank of the stack, read off the same singular
+    values (the stack is factorized once). The condensed matrix is
     materialized as W1 @ diag(s1), which equals (stack @ V1) up to SVD
     round-off; it keeps the row layout of the partition.
     """
@@ -72,7 +75,7 @@ def factorize_and_condense(partition: HankelPartition, r: int | None = None,
     max_r = min(stack.shape)
     W, s = left_singular(stack)
     if r is None:
-        r = min(select_rank(s, energy_fraction), numerical_rank(stack))
+        r = min(select_rank(s, energy_fraction), singular_value_rank(s, stack.shape))
     else:
         if not 1 <= r <= max_r:
             raise ValueError(f"r must lie in [1, {max_r}], got {r}")

@@ -3,11 +3,15 @@
 Nothing here calls into the package's QP solver or controller: the MPC
 oracle condenses the horizon problem onto the input sequence and solves it
 with scipy's bounded least squares, and the rollout helpers step the state
-equations directly.
+equations directly. The soft-arm reference steps one control period at a
+time on numpy 3-vectors, with its own least-squares bending inverse; it
+shares only the forward tip map with the package.
 """
 
 import numpy as np
 from scipy.optimize import lsq_linear
+
+from softdeepc.kinematics import cc_forward
 
 
 def random_minimal_lti(rng, n, m, p, spectral_radius=0.85, d_scale=0.1):
@@ -93,3 +97,43 @@ def collect_lti_dataset(A, B, C, D, rng, T, amplitude=1.0, x0=None):
     u = amplitude * rng.standard_normal((T, m))
     y, _ = rollout(A, B, C, D, u, x0=x0)
     return u, y
+
+
+def bending_lstsq(lengths, geom):
+    """(phi_b, gamma_g) from cable lengths by the least-squares normal equations.
+
+    The numpy form c = (2/3) M' delta with M = [cos(theta), sin(theta)], as
+    a vectorized reference for the package's float bending_from_lengths.
+    """
+    lengths = np.asarray(lengths, dtype=float).reshape(3)
+    theta = np.asarray(geom.cable_angles)
+    delta = (geom.segment_length - lengths) / geom.cable_offset
+    c1 = (2.0 / 3.0) * float(np.cos(theta) @ delta)
+    c2 = (2.0 / 3.0) * float(np.sin(theta) @ delta)
+    phi_b = float(np.hypot(c1, c2))
+    gamma_g = float(np.arctan2(c2, c1)) if phi_b > 1e-12 else 0.0
+    if gamma_g < 0.0:
+        gamma_g += 2.0 * np.pi
+    return min(phi_b, np.pi * (1.0 - 1e-12)), gamma_g
+
+
+def arm_step_reference(lag_lengths, u, dt, geom, tau, disturbances, rng):
+    """One control period of the soft-arm surrogate, on numpy 3-vectors.
+
+    The per-period form of the plant: clamp u to [0, 90], the exact
+    first-order lag toward the commanded lengths, the least-squares
+    bending, sag and stiffness distortion, the tip, then three noise
+    draws. Returns (lag_lengths, phi_b, gamma_g, tip). The tip comes from
+    cc_forward, whose series branch covers the straight arm.
+    """
+    u = np.clip(np.asarray(u, dtype=float).reshape(3), 0.0, 90.0)
+    l_cmd = geom.segment_length - geom.u_to_length_gain * u
+    l_new = l_cmd + (np.asarray(lag_lengths, dtype=float) - l_cmd) * np.exp(-dt / tau)
+    phi_nom, gamma = bending_lstsq(l_new, geom)
+    sagged = phi_nom + disturbances.gravity_sag * np.sin(phi_nom)
+    phi = sagged * (1.0 + disturbances.stiffness_eps * np.cos(3.0 * gamma))
+    phi = float(min(max(phi, 0.0), np.pi * (1.0 - 1e-12)))
+    tip = cc_forward(phi, gamma, geom.segment_length)
+    if disturbances.noise_std > 0.0:
+        tip = tip + rng.normal(0.0, disturbances.noise_std, size=3)
+    return l_new, phi, gamma, tip

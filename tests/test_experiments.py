@@ -10,12 +10,15 @@ import math
 
 import numpy as np
 import pytest
+from oracles import arm_step_reference
 
 from softdeepc import experiments
 from softdeepc.config import ExperimentConfig
+from softdeepc.excitation import ExcitationSpec, generate_excitation
 from softdeepc.experiments import (
     build_controller,
     build_geometry,
+    build_plant,
     circle_bending,
     circle_waypoints,
     collect_dataset,
@@ -110,6 +113,56 @@ class TestCollect:
         assert dataset.length == cfg.dataset_steps
         exciting, _ = is_persistently_exciting(dataset.inputs, cfg.pe_order())
         assert exciting
+
+
+def collect_reference(cfg, seed, task):
+    """Excitation section by section, then the plant one period at a time.
+
+    The inputs are drawn as the collection describes them (one uniform
+    dither section per operating point, or one plain spec), and the outputs
+    come from the numpy per-period reference plant.
+    """
+    if cfg.excitation_kind == "stage_dither":
+        hw = cfg.dither_halfwidth
+        sections = []
+        for i, (center, steps) in enumerate(experiments._stage_dither_centers(cfg, task)):
+            spec = ExcitationSpec(
+                kind="uniform_random",
+                amp_lower=np.clip(center - hw, cfg.u_lower, None).tolist(),
+                amp_upper=np.clip(center + hw, None, cfg.u_upper).tolist(),
+                ramp_steps=1, hold_steps=0, total_steps=steps, seed=seed + 7 * i,
+            )
+            sections.append(generate_excitation(spec, pe_order=None, channels=3))
+        inputs = np.vstack(sections)
+    else:
+        spec = ExcitationSpec(
+            kind=cfg.excitation_kind, amp_lower=cfg.amp_lower, amp_upper=cfg.amp_upper,
+            ramp_steps=cfg.ramp_steps, hold_steps=cfg.hold_steps,
+            total_steps=cfg.dataset_steps, seed=seed,
+        )
+        inputs = generate_excitation(spec, pe_order=cfg.pe_order(), channels=3,
+                                     max_retries=cfg.pe_retries)
+    plant = build_plant(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    lag = np.full(3, plant.geometry.segment_length)
+    outputs = []
+    for u in inputs:
+        lag, _phi, _gamma, tip = arm_step_reference(
+            lag, u, plant.dt, plant.geometry, plant.tau, plant.disturbances, rng)
+        outputs.append(tip)
+    return inputs, np.array(outputs)
+
+
+class TestCollectReference:
+    @pytest.mark.parametrize("kind, task", [("stage_dither", "fixed_point"),
+                                            ("stage_dither", "circle"),
+                                            ("ramp_and_hold", "fixed_point")])
+    def test_dataset_matches_per_period_reference(self, kind, task):
+        cfg = small_cfg(excitation_kind=kind)
+        dataset = collect_dataset(cfg, seed=3, task=task)
+        inputs, outputs = collect_reference(cfg, 3, task)
+        np.testing.assert_array_equal(dataset.inputs, inputs)
+        np.testing.assert_allclose(dataset.outputs, outputs, rtol=0.0, atol=1e-12)
 
 
 class TestBuildController:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import bending_lstsq
 
 from softdeepc.kinematics import (
     ArmGeometry,
@@ -218,3 +219,19 @@ class TestBendingFromLengths:
         phi, gamma = bending_from_lengths([90.0, 90.0, 90.0], geom)
         assert phi == 0.0
         assert gamma == 0.0
+
+    @pytest.mark.parametrize("angles", [None, (0.3, 0.3 + 2 * math.pi / 3,
+                                               0.3 + 4 * math.pi / 3)])
+    def test_matches_least_squares_normal_equations(self, angles):
+        geom = ArmGeometry() if angles is None else ArmGeometry(cable_angles=angles)
+        rng = np.random.default_rng(4)
+        for _ in range(500):
+            lengths = rng.uniform(60.0, 100.0, 3)
+            phi_ref, gamma_ref = bending_lstsq(lengths, geom)
+            for form in (lengths, tuple(lengths.tolist()), lengths.tolist()):
+                phi, gamma = bending_from_lengths(form, geom)
+                assert type(phi) is float and type(gamma) is float
+                assert abs(phi - phi_ref) <= 1e-14
+                dg = (gamma - gamma_ref + math.pi) % (2 * math.pi) - math.pi
+                assert abs(dg) <= 1e-14
+

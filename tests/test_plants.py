@@ -1,17 +1,19 @@
 """Tests for the soft-arm surrogate plant and the generic LTI plant."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from oracles import arm_step_reference
 
-from softdeepc.kinematics import ArmGeometry, cc_forward, cc_inverse
+from softdeepc.kinematics import ArmGeometry, cc_forward
 from softdeepc.plants import (
     ArmState,
     DisturbanceConfig,
     LtiPlant,
     SoftArmPlant,
-    arm_sim_step,
+    arm_sim_run,
 )
 
 
@@ -166,9 +168,94 @@ class TestSoftArmDisturbed:
         for _ in range(30):
             u = [12.0, 4.0, 30.0]
             tip_class = plant.step(u)
-            state, tip_func = arm_sim_step(state, u, plant.dt, geom, plant.tau,
-                                           dist, rng)
-            np.testing.assert_array_equal(tip_class, tip_func)
+            state, tip_func = arm_sim_run(state, [u], plant.dt, geom, plant.tau,
+                                          dist, rng)
+            np.testing.assert_array_equal(tip_func, [tip_class])
+
+
+def disturbed_plant(seed=5):
+    dist = DisturbanceConfig(gravity_sag=0.06, stiffness_eps=0.08, noise_std=0.3)
+    return SoftArmPlant(disturbances=dist, seed=seed)
+
+
+def assert_same_plant(a, b):
+    """Same state and same position in the noise stream, bit for bit."""
+    assert a.state.phi_b == b.state.phi_b
+    assert a.state.gamma_g == b.state.gamma_g
+    assert a.state.time == b.state.time
+    np.testing.assert_array_equal(a.state.lag_lengths, b.state.lag_lengths)
+    np.testing.assert_array_equal(a.rng.normal(size=4), b.rng.normal(size=4))
+
+
+class TestRollout:
+    """SoftArmPlant.run applies a whole input sequence in one rollout."""
+
+    def test_run_equals_stepping_bitwise(self):
+        inputs = np.random.default_rng(0).uniform(0.0, 90.0, (200, 3))
+        batch, stepped = disturbed_plant(), disturbed_plant()
+        tips = batch.run(inputs)
+        one_by_one = np.array([stepped.step(u) for u in inputs])
+        assert tips.shape == (200, 3)
+        np.testing.assert_array_equal(tips, one_by_one)
+        assert_same_plant(batch, stepped)
+        # time advances by repeated + dt, as one step per period does
+        t = 0.0
+        for _ in range(200):
+            t += batch.dt
+        assert batch.state.time == t
+
+    def test_out_of_box_batch_warns_once_and_clamps(self):
+        inputs = np.random.default_rng(2).uniform(-20.0, 110.0, (40, 3))
+        clamped = np.clip(inputs, 0.0, 90.0)
+        batch, stepped = disturbed_plant(), disturbed_plant()
+        with pytest.warns(UserWarning, match="clamped") as record:
+            tips = batch.run(inputs)
+        assert len(record) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = np.array([stepped.step(u) for u in clamped])
+        np.testing.assert_array_equal(tips, expected)
+        assert_same_plant(batch, stepped)
+
+    def test_empty_batch_touches_nothing(self):
+        plant, fresh = disturbed_plant(), disturbed_plant()
+        plant.step([10.0, 20.0, 30.0])
+        fresh.step([10.0, 20.0, 30.0])
+        state = plant.state
+        tips = plant.run(np.empty((0, 3)))
+        assert tips.shape == (0, 3)
+        assert plant.state is state
+        assert_same_plant(plant, fresh)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 4), (1, 3, 1), ()])
+    def test_inputs_must_be_rows_of_three(self, shape):
+        plant = disturbed_plant()
+        with pytest.raises(ValueError, match=r"\(T, 3\)"):
+            plant.run(np.zeros(shape))
+
+    def test_noise_drawn_once_equals_draws_of_three(self):
+        # the rollout draws the noise of T periods at once; that must be the
+        # stream the per-period draws of the same generator would give
+        batch = np.random.default_rng(11).normal(0.0, 0.3, size=(50, 3))
+        rng = np.random.default_rng(11)
+        rows = np.array([rng.normal(0.0, 0.3, size=3) for _ in range(50)])
+        np.testing.assert_array_equal(batch, rows)
+
+    def test_matches_per_period_reference(self):
+        # the numpy per-period form of the plant, with its own bending inverse
+        plant = disturbed_plant(seed=9)
+        inputs = np.random.default_rng(3).uniform(-5.0, 95.0, (300, 3))
+        with pytest.warns(UserWarning, match="clamped"):
+            tips = plant.run(inputs)
+        rng = np.random.default_rng(9)
+        lag = np.full(3, plant.geometry.segment_length)
+        for k, u in enumerate(inputs):
+            lag, phi, gamma, tip = arm_step_reference(
+                lag, u, plant.dt, plant.geometry, plant.tau, plant.disturbances, rng)
+            np.testing.assert_allclose(tips[k], tip, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(plant.state.lag_lengths, lag)
+        assert plant.state.phi_b == pytest.approx(phi, abs=1e-14)
+        assert plant.state.gamma_g == pytest.approx(gamma, abs=1e-14)
 
 
 class TestLtiPlant:

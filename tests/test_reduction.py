@@ -256,6 +256,48 @@ class TestQrFirstSvd:
         assert picked.rank_used == reference.rank_used
 
 
+class TestAutoRankFactorizesOnce:
+    """r=None takes the rank cap from the singular values it already holds."""
+
+    @pytest.fixture(scope="class")
+    def stacks(self):
+        cfg = ExperimentConfig()
+        dataset = experiments.collect_dataset(cfg, seed=0)
+        depth = cfg.t_ini + cfg.horizon
+        shipped = partition_past_future(build_hankel(dataset.inputs, depth),
+                                        build_hankel(dataset.outputs, depth),
+                                        cfg.t_ini, cfg.horizon)
+        deficient = make_partition(m=1, p=1, t_ini=5, horizon=5, T=100, seed=3,
+                                   plant=(np.diag([0.8, 0.6, 0.4]),
+                                          np.array([[1.0], [0.5], [0.2]]),
+                                          np.array([[1.0, 0.5, 0.25]])))
+        return {"shipped": shipped, "rank_deficient": deficient}
+
+    @pytest.mark.parametrize("energy_fraction", [0.999, 1.0])
+    @pytest.mark.parametrize("which", ["shipped", "rank_deficient"])
+    def test_one_svd_and_the_same_rank(self, stacks, which, energy_fraction,
+                                       monkeypatch):
+        part = stacks[which]
+        stack = part.matrix
+        # the rank the stack's own second SVD would have capped at
+        _, s = reduction.left_singular(stack)
+        expected = min(select_rank(s, energy_fraction), numerical_rank(stack))
+        if which == "rank_deficient":
+            assert numerical_rank(stack) < min(stack.shape)
+
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        cond = factorize_and_condense(part, energy_fraction=energy_fraction)
+        assert len(calls) == 1
+        assert cond.rank_used == expected
+
+
 class TestCondensedPartitionValidation:
     def test_bad_singular_order_rejected(self):
         with pytest.raises(ValueError, match="descending"):
