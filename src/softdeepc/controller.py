@@ -16,6 +16,7 @@ SVD-condensed (g has r entries); only the column count differs.
 """
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -87,12 +88,19 @@ class DeePCConfig:
             raise ValueError(f"lambda_g must be >= 0, got {self.lambda_g}")
         if self.lambda_y < 0:
             raise ValueError(f"lambda_y must be >= 0, got {self.lambda_y}")
+        for name in ("tol_kkt", "tol_feas"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if operator.index(self.max_iter) < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
     def input_bounds(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         lo = np.broadcast_to(np.asarray(self.u_lower, dtype=float), (m,)).copy()
         hi = np.broadcast_to(np.asarray(self.u_upper, dtype=float), (m,)).copy()
         if np.any(lo > hi):
             raise ValueError("u_lower must be <= u_upper elementwise")
+        if np.any(lo == math.inf) or np.any(hi == -math.inf):
+            raise ValueError("no input can meet u_lower = +inf or u_upper = -inf")
         return lo, hi
 
 

@@ -4,16 +4,15 @@
     subject to  A_eq z = b_eq
                 lower <= A_in z <= upper
 
-Method: an active-set solve in the multiplier space, after the online
+Method: active-set solves in the multiplier space, after the online
 active-set idea of qpOASES (Ferreau, Bock & Diehl, 2008). With P > 0 the
 equality rows are eliminated once, at construction, in whitened coordinates:
 with the Cholesky factor P = U'U and X = U^-T A' (A the equality rows over
 the bound rows), the Gram matrix is S = A P^-1 A' = X'X. The solver factors
 its equality block S_ee and keeps the Schur complement
-C = S_ii - S_ie S_ee^-1 S_ei of the bound rows. Each sweep then
-factors only the block of C on the working set (the rows held at a bound),
-reads A_in z off the bound multipliers, and adds or drops rows until the
-set stops changing; nu and z are formed once at the end. Dependent equality
+C = S_ii - S_ie S_ee^-1 S_ei of the bound rows. A solve then factors only
+blocks of C on the working set (the rows held at a bound), reads A_in z off
+the bound multipliers, and forms nu and z once at the end. Dependent equality
 rows are replaced by the same number of independent ones spanning their
 range, and their multipliers are mapped back. A singular P, or a block whose
 Cholesky factorization fails, takes a regularized KKT solve instead.
@@ -31,19 +30,25 @@ are the two triangular solves on the cached factor, and the certifier's P z
 is one symmetric product, which also gives the objective. The rest of the
 solve works on the n x rows maps and the small blocks.
 
-The working set of the last certified solve seeds the next solve ("warm"),
-shifted forward by seed_shift rows. In a receding-horizon loop whose bound
-rows are the future inputs, a shift of one input block lines the previous
-plan up with the current one. A plan that stands still over the horizon (a
-saturated steady state) does not move that way, so the set stays unshifted
-when the step before matched it better unshifted. Without a seed the solve
-starts from the empty working set ("cold").
+The working set of the last certified solve seeds the next solve, shifted
+forward by seed_shift rows, and sweeps from there ("warm"): each sweep holds
+the set, then adds every row pushed out of the box and drops every
+wrong-signed one, until the set stops changing. In a receding-horizon loop
+whose bound rows are the future inputs, a shift of one input block lines the
+previous plan up with the current one. A plan that stands still over the
+horizon (a saturated steady state) does not move that way, so the set stays
+unshifted when the step before matched it better unshifted.
 
-Operator-splitting ADMM (Ruiz equilibration, per-row step sizes) is the
-fallback: it runs only when the active-set result does not certify, and its
-multiplier signs seed the same active-set solve. Its scalings and scaled
-matrices are built on first use. Plain ADMM iterates are accepted only if
-they certify on their own.
+Without a seed, or when the seeded sweep does not certify, the dual
+active-set method of Goldfarb & Idnani (Math. Prog. 27, 1983) runs on the
+same Schur complement ("cold"). With the equalities eliminated, the dual is
+a QP in the bound multipliers with sign constraints. It starts from the
+unconstrained minimum (the empty working set), adds the pinned rows
+(lower == upper), then adds the most violated row at each step with the
+primal-dual step length, dropping a row whose multiplier reaches zero on
+the way. It ends in a finite number of working-set changes, and reports
+the problem infeasible when no step can reduce a violation. A singular P
+keeps the sweep, from the seed or from the empty set.
 
 Every "optimal" result is certified by the KKT residual. All residuals are
 reported unscaled and relative with a floor of 1 in the denominator, so
@@ -55,7 +60,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.blas import dsymv, dtrsm, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -64,15 +69,10 @@ from .reduction import left_singular
 
 __all__ = ["QpSolution", "QpSolver"]
 
-_SIGMA = 1e-6       # primal regularization inside ADMM
-_ALPHA = 1.6        # over-relaxation
-_RHO0 = 0.1         # base step size (scaled space)
-_RHO_EQ_SCALE = 1e3  # stiffer step on equality rows
-_POLISH_DELTA = 1e-9
-_CHECK_EVERY = 25
-_POLISH_EVERY = 250  # periodic polish attempt on ill-conditioned problems
-_RHO_UPDATE_EVERY = 100
-_MAX_REFACTOR = 10
+_DELTA = 1e-9  # regularization of the block and KKT factorizations
+# a row whose Schur complement pivot is below this share of its own Gram
+# entry a' P^-1 a lies in the span of the equality rows and the working set
+_DEPENDENT = 1e-10
 
 
 def _vec(x, n, name):
@@ -124,7 +124,7 @@ def _spd_factor(S):
     """
     if not len(S):
         return S
-    cS, info = dpotrf(S + _POLISH_DELTA * np.eye(len(S)), clean=False)
+    cS, info = dpotrf(S + _DELTA * np.eye(len(S)), clean=False)
     return None if info else cS
 
 
@@ -142,14 +142,20 @@ def _spd_solve(S, cS, rhs):
 class QpSolution:
     """Result of one solve.
 
-    path names how the result was reached: "warm" when the active-set solve
-    from the shifted working set of the previous certified solve certified,
-    "cold" when there was no such set and the active-set solve from the
-    empty working set certified, "admm" when ADMM ran and its result (or its
-    seeded active-set solve) certified, and "uncertified" when status is not
-    "optimal". iterations counts ADMM iterations, so it is 0 on the warm and
-    cold paths; sweeps counts active-set sweeps over all attempts in the
-    solve, 0 if none ran.
+    status is "optimal" when the result certifies, "infeasible" when the
+    equalities are inconsistent or the dual solve finds that no step can
+    reduce a bound violation, "max_iterations" when the dual solve reaches
+    max_iter working-set changes, and "inaccurate" when a solve ended but
+    its result does not certify.
+
+    path names how the result was reached: "warm" when the sweep from the
+    shifted working set of the previous certified solve certified, "cold"
+    when the solve from the empty working set certified (the dual solve, or
+    the sweep for a singular P), and "uncertified" when status is not
+    "optimal". iterations counts the dual solve's working-set changes, so it
+    is 0 on the warm path; sweeps counts active-set sweeps over all attempts
+    in the solve. With P > 0 only the warm try sweeps, so a "cold" result
+    with sweeps > 0 followed a warm try that did not certify.
     """
 
     z_star: np.ndarray
@@ -161,33 +167,6 @@ class QpSolution:
     multipliers_in: np.ndarray
     path: str
     sweeps: int
-
-
-def _ruiz_equilibrate(P, A, iterations=10):
-    """Diagonal scalings D (primal) and E (rows of A) balancing the KKT matrix."""
-    n = P.shape[0]
-    m = A.shape[0]
-    D = np.ones(n)
-    E = np.ones(m)
-    Ps = P.copy()
-    As = A.copy()
-    for _ in range(iterations):
-        cp = np.maximum(
-            np.max(np.abs(Ps), axis=0, initial=0.0),
-            np.max(np.abs(As), axis=0, initial=0.0) if m else 0.0,
-        )
-        dp = 1.0 / np.sqrt(np.where(cp > 1e-12, cp, 1.0))
-        if m:
-            cd = np.max(np.abs(As), axis=1, initial=0.0)
-            de = 1.0 / np.sqrt(np.where(cd > 1e-12, cd, 1.0))
-        else:
-            de = np.ones(0)
-        Ps = dp[:, None] * Ps * dp[None, :]
-        if m:
-            As = de[:, None] * As * dp[None, :]
-        D *= dp
-        E *= de
-    return D, E
 
 
 def _amax(x):
@@ -206,12 +185,12 @@ class QpSolver:
 
     Construction factors P, eliminates the equality rows and keeps the Schur
     complement of the bound rows, so each solve of a receding-horizon loop
-    factors only small working-set blocks. Each solve starts from the
-    working set of the last certified one, or from the empty set when there
-    is none. With seed_shift > 0 that set is first moved forward by
-    seed_shift rows, the last seed_shift rows repeating the ones before
-    them, unless the step before matched it better unmoved. The ADMM
-    fallback's state is built on its first use.
+    factors only small working-set blocks. Each solve first sweeps from the
+    working set of the last certified one. With seed_shift > 0 that set is
+    first moved forward by seed_shift rows, the last seed_shift rows
+    repeating the ones before them, unless the step before matched it
+    better unmoved. Without such a set, or when the sweep does not certify,
+    the dual solve runs from the empty set.
     """
 
     def __init__(self, P, A_eq=None, A_in=None, seed_shift=0):
@@ -250,7 +229,8 @@ class QpSolver:
         # in whitened coordinates: with P = U'U and X = U^-T A', the Gram
         # matrix is S = X'X. T = S_ee^-1 S_ei, C = S_ii - S_ie T, and
         # X_W = X_i - X_e T maps bound multipliers to U z. Needs P > 0 and
-        # S_ee > 0; otherwise every sweep takes the KKT solve. U is F-ordered
+        # S_ee > 0; otherwise every sweep takes the KKT solve and there is no
+        # dual solve. U is F-ordered
         # (dpotrf reads the F-ordered view P.T, equal to P) and only its upper
         # triangle is ever read, so it is not cleaned.
         self._C = None
@@ -272,16 +252,10 @@ class QpSolver:
                 self._X = X
                 self._X_e = X[:, :k]
                 self._X_W = X[:, k:] - self._X_e @ T
+                self._pivot_min = _DEPENDENT * np.diag(S_ii)
 
-        # ADMM state (Ruiz scalings, scaled matrices, factor cache), built
-        # on first ADMM use
-        self._admm = None
-        self._admm_factor_cache: dict[bytes, tuple] = {}
-
-        # warm-start memory for repeated solves: the last solution (z and its
-        # multipliers, as the next ADMM starting point) and the working set
-        # (rows held at lower, rows held at upper) of the last certified solve
-        self._last_iterate = None
+        # the working set (rows held at lower, rows held at upper) of the
+        # last certified solve, and the one before it
         self._working_set = self._previous_set = None
 
     # ---------------- residual bookkeeping ----------------
@@ -316,8 +290,8 @@ class QpSolver:
             Az = self.A_in @ z
             az = _amax(Az)
             fin_l, fin_u = np.isfinite(lower), np.isfinite(upper)
+            # no bound is +inf below or -inf above, so viol is finite
             viol = np.maximum(np.maximum(lower - Az, Az - upper), 0.0)
-            viol = np.where(np.isfinite(viol), viol, 0.0)
             bound_mag = max(abs(lower).max(initial=0.0, where=fin_l),
                             abs(upper).max(initial=0.0, where=fin_u))
             r_box = viol.max(initial=0.0) / max(1.0, az, bound_mag)
@@ -368,8 +342,63 @@ class QpSolver:
                 return current
         return self._shifted(current)
 
+    def _reduced(self, q, b_e):
+        """(w, nu0, r) on the Schur complement, or Nones for a singular P.
+
+        w = U^-T q, so that A P^-1 q = X'w; nu0 are the equality multipliers
+        with no bound row held, and r = A_in z at them. With y the bound
+        multipliers, A_in z = r - C y. The solve for w and the one for z in
+        _primal are the two triangular solves on the cached upper factor
+        (P = U'U), each reading its triangle in place from the F-ordered
+        array.
+        """
+        if self._C is None:
+            return None, None, None
+        k_e = self._n_e_solve
+        w = dtrsv(self._U, q, trans=1)
+        a = self._X.T @ w
+        nu0 = _spd_solve(self._S_ee, self._c_ee, -a[:k_e] - b_e)
+        return w, nu0, -a[k_e:] - self._S_ie @ nu0
+
+    def _hold(self, q, b_e, r, act, h):
+        """Hold the rows act at h: (y, A_in z, (z, nu) or None).
+
+        On the Schur complement, y comes from the factor of the block
+        C[act, act]. A singular P, or a block whose factorization fails,
+        takes the KKT solve, which returns z and nu as well.
+        """
+        y = np.zeros(self.n_i)
+        C = self._C
+        cC = None
+        if C is not None:
+            C_aa = C[act[:, None], act]
+            cC = _spd_factor(C_aa)
+        if cC is not None:
+            y[act] = _spd_solve(C_aa, cC, r[act] - h)
+            return y, r - C @ y, None
+        z, nu, y[act] = self._kkt_solve(q, b_e, act, h)
+        return y, self._rows_kkt[self._n_e_solve:] @ z, (z, nu)
+
+    def _primal(self, w, nu0, y, kkt):
+        """(z, nu) for the bound multipliers y, or None if not finite.
+
+        kkt is what _hold returned; without it z and nu come from the Schur
+        complement.
+        """
+        if kkt is None:
+            nu = nu0 - self._T @ y
+            # z = -P^-1 (q + A_e' nu0 + (A_i - T' A_e)' y)
+            z = -dtrsv(self._U, w + self._X_e @ nu0 + self._X_W @ y, overwrite_x=1)
+        else:
+            z, nu = kkt
+        if not (np.isfinite(z).all() and np.isfinite(nu).all()):
+            return None
+        if self._eq_range is not None:
+            nu = self._eq_range[0] @ nu
+        return z, nu
+
     def _active_set(self, q, b_e, lower, upper, low, up, max_sweeps=25):
-        """Active-set solve from a working set of inequality rows.
+        """Active-set sweeps from a working set of inequality rows.
 
         b_e is the right-hand side of the solve's equality rows. low and up
         are boolean masks of the rows held at their lower and upper bound.
@@ -385,32 +414,10 @@ class QpSolver:
         # a row cannot be held at an infinite bound
         low = (low & np.isfinite(lower)) | pinned
         up = up & np.isfinite(upper) & ~pinned
-        C = self._C
-        k_e = self._n_e_solve
-        if C is not None:
-            # w = U^-T q, so that A P^-1 q = X'w. This and the solve for z
-            # below are the two triangular solves on the cached upper factor
-            # (P = U'U), each reading its triangle in place from the
-            # F-ordered array
-            w = dtrsv(self._U, q, trans=1)
-            a = self._X.T @ w
-            nu0 = _spd_solve(self._S_ee, self._c_ee, -a[:k_e] - b_e)
-            r = -a[k_e:] - self._S_ie @ nu0
+        w, nu0, r = self._reduced(q, b_e)
         for sweep in range(1, max_sweeps + 1):
             act = np.concatenate([np.flatnonzero(low), np.flatnonzero(up)])
-            h = np.where(low, lower, upper)[act]
-            z = None
-            y = np.zeros(self.n_i)
-            cC = None
-            if C is not None:
-                C_aa = C[act[:, None], act]
-                cC = _spd_factor(C_aa)
-            if cC is not None:
-                y[act] = _spd_solve(C_aa, cC, r[act] - h)
-                Az = r - C @ y
-            else:
-                z, nu, y[act] = self._kkt_solve(q, b_e, act, h)
-                Az = self._rows_kkt[k_e:] @ z
+            y, Az, kkt = self._hold(q, b_e, r, act, np.where(low, lower, upper)[act])
             if not np.isfinite(y).all():
                 return None, sweep
 
@@ -423,15 +430,90 @@ class QpSolver:
                 break
             low, up = new_low, new_up
 
-        if z is None:
-            nu = nu0 - self._T @ y
-            # z = -P^-1 (q + A_e' nu0 + (A_i - T' A_e)' y)
-            z = -dtrsv(self._U, w + self._X_e @ nu0 + self._X_W @ y, overwrite_x=1)
-        if not (np.isfinite(z).all() and np.isfinite(nu).all()):
+        primal = self._primal(w, nu0, y, kkt)
+        if primal is None:
             return None, sweep
-        if self._eq_range is not None:
-            nu = self._eq_range[0] @ nu
-        return (z, nu, y, low, up), sweep
+        return (*primal, y, low, up), sweep
+
+    def _dual(self, q, b_e, lower, upper, max_changes):
+        """Dual active-set solve (Goldfarb & Idnani) from the empty working set.
+
+        y holds the bound multipliers (y > 0 at an upper bound), and
+        A_in z = r - C y. Stepping row p towards its bound from side s (+1
+        above, -1 below) moves y along d: d[p] = s, and d on the held rows
+        is the held-row solve for the cost s a_p, which keeps them at their
+        bounds. Row p then closes its gap at the rate kappa = s (C d)[p], its
+        pivot in the Schur complement of the held block. Returns
+        ((z, nu, y, low, up) or None, changes, the status if the result does
+        not certify); a finished solve's multipliers are solved afresh on
+        its final set.
+        """
+        w, nu0, r = self._reduced(q, b_e)
+        C = self._C
+        zeros_e = np.zeros(self._n_e_solve)
+        pinned = lower == upper
+        y = np.zeros(self.n_i)
+        # +1 held at the upper bound, -1 at the lower one (a pinned row
+        # counts as lower), 0 not held
+        side = np.zeros(self.n_i)
+        changes, failure = 0, None
+        # the pinned rows first, then the most violated row at each step
+        queue = list(np.flatnonzero(pinned))
+        while failure is None:
+            Az = r - C @ y
+            tol = 1e-11 * max(1.0, float(_amax(Az)))
+            viol = np.maximum(Az - upper, lower - Az)
+            if queue:
+                p = queue.pop()
+            else:
+                viol[pinned] = viol[side != 0] = -np.inf
+                if viol.max(initial=0.0) <= tol:
+                    break
+                p = int(np.argmax(viol))
+            s = 1.0 if Az[p] > upper[p] else -1.0
+            gap = viol[p]
+            while True:
+                if changes == max_changes:
+                    failure = "max_iterations"
+                    break
+                act = np.flatnonzero(side)
+                d, dAz, _ = self._hold(s * self.A_in[p], zeros_e, -s * C[p], act,
+                                       np.zeros(len(act)))
+                d[p] = s
+                kappa = -s * dAz[p]
+                # below this pivot p is a combination of the held rows
+                t_add = gap / kappa if kappa > self._pivot_min[p] else np.inf
+                # a held bound row's multiplier s_j y_j >= 0 shrinks where
+                # s_j d_j < 0; a pinned row's takes either sign
+                shrink = act[(side[act] * d[act] < 0) & ~pinned[act]]
+                ratios = np.maximum(-y[shrink] / d[shrink], 0.0)
+                t_drop = ratios.min(initial=np.inf)
+                if min(t_add, t_drop) == np.inf:
+                    # no step reduces the violation, unless p is a pinned
+                    # row that the held rows already meet
+                    if not (pinned[p] and gap <= tol):
+                        failure = "infeasible"
+                    break
+                # p joins where it reaches its bound; a held row whose
+                # multiplier reaches zero first leaves, and p steps again
+                changes += 1
+                if t_add <= t_drop:
+                    y += t_add * d
+                    side[p] = -1.0 if pinned[p] else s
+                    break
+                y += t_drop * d
+                j = shrink[np.argmin(ratios)]
+                y[j] = side[j] = 0.0
+                gap -= t_drop * kappa
+
+        low, up = side < 0, side > 0
+        kkt = None
+        if failure is None:
+            act = np.flatnonzero(side)
+            y, _, kkt = self._hold(q, b_e, r, act, np.where(low, lower, upper)[act])
+        primal = self._primal(w, nu0, y, kkt)
+        result = None if primal is None else (*primal, y, low, up)
+        return result, changes, failure or "inaccurate"
 
     def _kkt_solve(self, q, b_e, act, h):
         """Regularized KKT solve with iterative refinement; returns (z, nu, y_act).
@@ -443,10 +525,10 @@ class QpSolver:
         G = self._rows_kkt[np.concatenate([np.arange(k_e), k_e + act])]
         k = len(G)
         K = np.zeros((self.n + k, self.n + k))
-        K[: self.n, : self.n] = self.P + _POLISH_DELTA * np.eye(self.n)
+        K[: self.n, : self.n] = self.P + _DELTA * np.eye(self.n)
         K[: self.n, self.n :] = G.T
         K[self.n :, : self.n] = G
-        K[self.n :, self.n :] = -_POLISH_DELTA * np.eye(k)
+        K[self.n :, self.n :] = -_DELTA * np.eye(k)
         h = np.concatenate([b_e, h])
         lu = lu_factor(K, check_finite=False)
         sol = lu_solve(lu, np.concatenate([-q, h]), check_finite=False)
@@ -459,47 +541,25 @@ class QpSolver:
             mult = mult + d[self.n :]
         return z, mult[:k_e], mult[k_e:]
 
-    # ---------------- ADMM ----------------
-
-    def _admm_state(self):
-        """(D, E, P_s, A_s): Ruiz scalings and the scaled matrices, built once."""
-        if self._admm is None:
-            blocks = [M for M in (self.A_eq, self.A_in) if M is not None and len(M)]
-            A_all = np.vstack(blocks) if blocks else np.zeros((0, self.n))
-            if len(A_all):
-                D, E = _ruiz_equilibrate(self.P, A_all)
-                P_s = D[:, None] * self.P * D[None, :]
-                A_s = E[:, None] * A_all * D[None, :]
-            else:
-                D, E, P_s, A_s = np.ones(self.n), np.zeros(0), self.P, A_all
-            self._admm = (D, E, P_s, A_s)
-        return self._admm
-
-    def _admm_factor(self, rho):
-        key = rho.tobytes()
-        hit = self._admm_factor_cache.get(key)
-        if hit is None:
-            _, _, P_s, A_s = self._admm_state()
-            M = P_s + _SIGMA * np.eye(self.n) + (A_s.T * rho) @ A_s
-            hit = cho_factor(M)
-            if len(self._admm_factor_cache) > 16:
-                self._admm_factor_cache.clear()
-            self._admm_factor_cache[key] = hit
-        return hit
-
     def solve(self, q, b_eq=None, lower=None, upper=None,
               tol_kkt=1e-8, tol_feas=1e-8, max_iter=20000):
         """Solve for one (q, b_eq, lower, upper) on the bound matrices.
 
-        The active-set solve runs first, from the shifted working set of the
-        previous solve when that one certified, and from the empty set
-        otherwise. ADMM runs only when that result does not certify, from
-        the last solution or from zero. q and b_eq must be finite, the
-        bounds free of NaN; b_eq or bounds given to a solver without such
-        rows are an error.
+        The sweep from the shifted working set of the previous solve runs
+        first, when that solve certified. Without such a set, or when its
+        result does not certify, the dual solve runs from the empty set, at
+        most max_iter working-set changes (a singular P sweeps from the
+        empty set instead). q and b_eq must be finite, the bounds free of
+        NaN, with no lower bound at +inf and no upper bound at -inf; the
+        tolerances must be positive and max_iter a positive integer. b_eq or
+        bounds given to a solver without such rows are an error.
         """
+        max_iter = operator.index(max_iter)
         if max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        for name, tol in (("tol_kkt", tol_kkt), ("tol_feas", tol_feas)):
+            if not tol > 0:
+                raise ValueError(f"{name} must be positive, got {tol}")
         q = _finite(_vec(q, self.n, "q"), "q")
         if self.n_e:
             if b_eq is None:
@@ -512,8 +572,12 @@ class QpSolver:
         if self.n_i:
             lower = np.full(self.n_i, -np.inf) if lower is None else _vec(lower, self.n_i, "lower")
             upper = np.full(self.n_i, np.inf) if upper is None else _vec(upper, self.n_i, "upper")
-            if np.isnan(lower).any() or np.isnan(upper).any():
-                raise ValueError("bounds must not contain NaN")
+            # one pass per side for NaN and for a bound no row can meet
+            if not ((lower < np.inf).all() and (upper > -np.inf).all()):
+                if np.isnan(lower).any() or np.isnan(upper).any():
+                    raise ValueError("bounds must not contain NaN")
+                raise ValueError("no row can meet a lower bound of +inf or an "
+                                 "upper bound of -inf")
             if (lower > upper).any():
                 raise ValueError("lower must be <= upper elementwise")
         elif any(b is not None and len(np.atleast_1d(b)) for b in (lower, upper)):
@@ -523,137 +587,50 @@ class QpSolver:
 
         sweeps = 0
 
-        def finish(z, nu, y, kkt, feas, objective, iters, path, working_set=None,
-                   failure="max_iterations"):
+        def check(result):
+            """(KKT residual, objective, whether the result certifies)."""
+            kkt, feas, objective = self._kkt_residual(*result[:3], q, b_eq,
+                                                      lower, upper)
+            return kkt, objective, kkt <= tol_kkt and feas <= tol_feas
+
+        def finish(result, kkt, objective, certified, path, failure, iterations=0):
+            z, nu, y, low, up = result
             # only a certified result seeds the next solve
-            certified = kkt <= tol_kkt and feas <= tol_feas
-            if not certified:
-                path, working_set = "uncertified", None
+            working_set = (low, up) if certified else None
             self._previous_set = None if working_set is None else self._working_set
             self._working_set = working_set
             return QpSolution(
                 z_star=z, objective=objective,
                 status="optimal" if certified else failure,
-                kkt_residual=float(kkt), iterations=iters,
-                multipliers_eq=nu, multipliers_in=y, path=path, sweeps=sweeps,
+                kkt_residual=float(kkt), iterations=iterations,
+                multipliers_eq=nu, multipliers_in=y,
+                path=path if certified else "uncertified", sweeps=sweeps,
             )
 
         # equality system consistency gates everything downstream
         if not self._eq_consistent(b_eq):
             z, *_ = np.linalg.lstsq(self.A_eq, b_eq, rcond=None)
-            nu, y = np.zeros(self.n_e), np.zeros(self.n_i)
-            kkt, _, objective = self._kkt_residual(z, nu, y, q, b_eq, lower, upper)
-            return finish(z, nu, y, kkt, np.inf, objective, 0, "uncertified",
-                          failure="infeasible")
+            result = (z, np.zeros(self.n_e), np.zeros(self.n_i), None, None)
+            kkt, objective, _ = check(result)
+            return finish(result, kkt, objective, False, "uncertified", "infeasible")
         b_e = b_eq if self._eq_range is None else self._eq_range[0].T @ b_eq
 
         seed = self._seed()
-        path = "warm"
-        if seed is None:
-            seed = (np.zeros(self.n_i, dtype=bool),) * 2
-            path = "cold"
-        result, sweeps = self._active_set(q, b_e, lower, upper, *seed)
-        if result is not None:
-            z, nu, y, low, up = result
-            kkt, feas, objective = self._kkt_residual(z, nu, y, q, b_eq, lower, upper)
-            if kkt <= tol_kkt and feas <= tol_feas:
-                self._remember_iterate(z, nu, y)
-                return finish(z, nu, y, kkt, feas, objective, 0, path, (low, up))
+        if seed is not None:
+            result, sweeps = self._active_set(q, b_e, lower, upper, *seed)
+            if result is not None:
+                kkt, objective, certified = check(result)
+                if certified:
+                    return finish(result, kkt, objective, True, "warm", None)
 
-        D, E, P_s, A_s = self._admm_state()
-        l_all = np.concatenate([b_eq, lower])
-        u_all = np.concatenate([b_eq, upper])
-        l_s = E * np.where(np.isfinite(l_all), l_all, 0.0)
-        l_s = np.where(np.isfinite(l_all), l_s, -np.inf)
-        u_s = E * np.where(np.isfinite(u_all), u_all, 0.0)
-        u_s = np.where(np.isfinite(u_all), u_s, np.inf)
-        q_s = D * q
-
-        eq_mask = np.isfinite(l_all) & np.isfinite(u_all) & (l_all == u_all)
-        rho_base = _RHO0
-        rho = np.where(eq_mask, _RHO_EQ_SCALE * rho_base, rho_base)
-
-        if self._last_iterate is not None:
-            x = self._last_iterate[0] / D
-            y = self._last_iterate[1] / np.where(E > 0, E, 1.0)
+        empty = np.zeros(self.n_i, dtype=bool)
+        changes, failure = 0, "inaccurate"
+        if self._C is None:
+            result, cold_sweeps = self._active_set(q, b_e, lower, upper, empty, empty)
+            sweeps += cold_sweeps
         else:
-            x = np.zeros(self.n)
-            y = np.zeros(len(E))
-        zc = np.clip(A_s @ x, l_s, u_s)
-
-        factor = self._admm_factor(rho)
-        best = None
-        refactors = 0
-        polish_gate = max(1e3 * tol_kkt, 1e-6)
-        iters_done = max_iter
-
-        for it in range(1, max_iter + 1):
-            rhs = _SIGMA * x - q_s + A_s.T @ (rho * zc - y)
-            x_t = cho_solve(factor, rhs, check_finite=False)
-            z_t = A_s @ x_t
-            x = _ALPHA * x_t + (1.0 - _ALPHA) * x
-            z_mix = _ALPHA * z_t + (1.0 - _ALPHA) * zc
-            zc = np.clip(z_mix + y / rho, l_s, u_s)
-            y = y + rho * (z_mix - zc)
-
-            if it % _CHECK_EVERY == 0 or it == max_iter:
-                z_u = D * x
-                y_u = E * y
-                nu_u = y_u[: self.n_e]
-                yin_u = y_u[self.n_e :]
-                kkt, feas, _ = self._kkt_residual(z_u, nu_u, yin_u, q, b_eq,
-                                                  lower, upper)
-                if best is None or kkt < best[0]:
-                    best = (kkt, z_u.copy(), nu_u.copy(), yin_u.copy(),
-                            (yin_u < 0, yin_u > 0))
-                raw_ok = kkt <= tol_kkt and feas <= tol_feas
-                # polish first: a certified polish is near-exact, while a raw
-                # iterate merely sits at the tolerance boundary. Ill-conditioned
-                # problems can plateau far above the gate with the active set
-                # nearly correct, so also try on the first check (warm starts
-                # land close) and periodically after that.
-                if (raw_ok or kkt <= polish_gate or it == _CHECK_EVERY
-                        or it % _POLISH_EVERY == 0):
-                    polished, k = self._active_set(q, b_e, lower, upper,
-                                                   yin_u < 0, yin_u > 0)
-                    sweeps += k
-                    if polished is not None:
-                        pz, pnu, py, plow, pup = polished
-                        pkkt, pfeas, _ = self._kkt_residual(pz, pnu, py, q, b_eq,
-                                                            lower, upper)
-                        if pkkt <= tol_kkt and pfeas <= tol_feas:
-                            best = (pkkt, pz, pnu, py, (plow, pup))
-                            iters_done = it
-                            break
-                        if pkkt < best[0]:
-                            best = (pkkt, pz, pnu, py, (plow, pup))
-                    polish_gate = max(polish_gate / 10.0, tol_kkt)
-                if raw_ok:
-                    iters_done = it
-                    break
-
-            if it % _RHO_UPDATE_EVERY == 0 and refactors < _MAX_REFACTOR:
-                r_prim = np.max(np.abs(A_s @ x - zc), initial=0.0)
-                r_dual = np.max(np.abs(P_s @ x + q_s + A_s.T @ y), initial=0.0)
-                p_sc = max(np.max(np.abs(A_s @ x), initial=0.0),
-                           np.max(np.abs(zc), initial=0.0), 1e-12)
-                d_sc = max(np.max(np.abs(P_s @ x), initial=0.0),
-                           np.max(np.abs(q_s), initial=0.0),
-                           np.max(np.abs(A_s.T @ y), initial=0.0), 1e-12)
-                ratio = np.sqrt((r_prim / p_sc) / max(r_dual / d_sc, 1e-16))
-                if ratio > 5.0 or ratio < 0.2:
-                    rho_base = float(np.clip(rho_base * ratio, 1e-6, 1e6))
-                    rho = np.where(eq_mask, _RHO_EQ_SCALE * rho_base, rho_base)
-                    factor = self._admm_factor(rho)
-                    refactors += 1
-
-        kkt, z_u, nu_u, yin_u, working_set = best
-        _, feas, objective = self._kkt_residual(z_u, nu_u, yin_u, q, b_eq,
-                                                lower, upper)
-        self._remember_iterate(z_u, nu_u, yin_u)
-        return finish(z_u, nu_u, yin_u, kkt, feas, objective, iters_done, "admm",
-                      working_set)
-
-    def _remember_iterate(self, z, nu, y):
-        """Keep a solution, unscaled, as the next ADMM starting point."""
-        self._last_iterate = (z, np.concatenate([nu, y]))
+            result, changes, failure = self._dual(q, b_e, lower, upper, max_iter)
+        if result is None:
+            result = (np.zeros(self.n), np.zeros(self.n_e), np.zeros(self.n_i),
+                      empty, empty)
+        return finish(result, *check(result), "cold", failure, changes)

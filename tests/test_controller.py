@@ -56,6 +56,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="u_lower"):
             cfg.input_bounds(2)
 
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf])
+    def test_unreachable_infinite_bounds_rejected(self, bound):
+        # both bounds infinite used to drop the box, so u = [inf] was applied
+        cfg = DeePCConfig(t_ini=3, horizon=5, lambda_g=1.0, lambda_y=1e4,
+                          u_lower=bound, u_upper=bound)
+        with pytest.raises(ValueError, match="inf"):
+            cfg.input_bounds(1)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("tol_kkt", 0.0, ValueError), ("tol_kkt", -1.0, ValueError),
+        ("tol_feas", math.nan, ValueError), ("max_iter", 0, ValueError),
+        ("max_iter", 2.5, TypeError)])
+    def test_solver_settings_validated(self, field, value, error):
+        with pytest.raises(error):
+            DeePCConfig(t_ini=2, horizon=2, **{field: value})
+
 
 class TestHistoryBuffer:
     def test_read_before_full_errors(self):

@@ -159,6 +159,16 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="NaN"):
             solve_once(np.eye(1), [0.0], A_in=[[1.0]], lower=[np.nan], upper=[1.0])
 
+    @pytest.mark.parametrize("bound", [np.inf, -np.inf])
+    def test_unreachable_infinite_bounds_rejected(self, bound):
+        # a row held at both bounds of +inf (or -inf) has no feasible value;
+        # the certifier must never see such a bound
+        with pytest.raises(ValueError, match="inf"):
+            solve_once(np.eye(1), [0.0], A_in=[[1.0]], lower=[bound], upper=[bound])
+        with pytest.raises(ValueError, match="inf"):
+            solve_once(np.eye(2), [0.0, 0.0], A_in=np.eye(2),
+                       lower=[-1.0, bound], upper=[1.0, bound])
+
     def test_eq_pair_required(self):
         with pytest.raises(ValueError, match="b_eq"):
             solve_once(np.eye(1), [0.0], A_eq=[[1.0]])
@@ -278,12 +288,29 @@ class TestStatusPaths:
         assert sol.status == "optimal"
         assert sol.z_star[0] == pytest.approx(1.0, abs=1e-8)
 
-    def test_bound_equality_conflict_hits_iteration_cap(self):
+    def test_bound_equality_conflict_is_infeasible(self):
         # equality forces z=5 while the bound row caps z at 1: primal
-        # infeasible but consistent equalities, so the cap is the exit
+        # infeasible but consistent equalities. The bound row repeats the
+        # equality row, so no step of the dual solve can move it
         sol = solve_once(np.eye(1), [0.0], A_eq=[[1.0]], b_eq=[5.0],
-                         A_in=[[1.0]], lower=[0.0], upper=[1.0], max_iter=300)
-        assert sol.status == "max_iterations"
+                         A_in=[[1.0]], lower=[0.0], upper=[1.0])
+        assert (sol.status, sol.path, sol.iterations) == (
+            "infeasible", "uncertified", 0)
+
+    def test_conflicting_bound_rows_are_infeasible_within_four_changes(self):
+        # z >= 2 on one row and z <= 1 on another: once the first is held,
+        # the second cannot move without releasing it
+        sol = solve_once(np.eye(1), [0.0], A_in=[[1.0], [1.0]],
+                         lower=[2.0, -1.0], upper=[3.0, 1.0])
+        assert (sol.status, sol.path) == ("infeasible", "uncertified")
+        assert sol.iterations <= 4
+
+    def test_iteration_cap_reported(self):
+        # three rows to add, but only two working-set changes allowed
+        sol = solve_once(np.eye(3), [-2.0, -2.0, -2.0], A_in=np.eye(3),
+                         lower=-np.ones(3), upper=np.ones(3), max_iter=2)
+        assert (sol.status, sol.path, sol.iterations) == (
+            "max_iterations", "uncertified", 2)
 
     def test_kkt_residual_reported(self):
         sol = solve_once(np.eye(2), [1.0, -1.0])
@@ -346,7 +373,8 @@ class TestOptimalityProperties:
         b = solve_once(**vars(prob))
         np.testing.assert_array_equal(a.z_star, b.z_star)
         assert a.objective == b.objective
-        assert a.iterations == b.iterations
+        assert (a.path, a.sweeps) == (b.path, b.sweeps) == ("cold", 0)
+        assert a.iterations == b.iterations > 0
 
     def test_equalities_satisfied_at_optimum(self):
         rng = np.random.default_rng(41)
@@ -389,6 +417,14 @@ class TestSolverReuse:
         solver = QpSolver(np.eye(2))
         with pytest.raises(ValueError, match="max_iter"):
             solver.solve(np.zeros(2), max_iter=0)
+        with pytest.raises(TypeError):
+            solver.solve(np.zeros(2), max_iter=2.5)
+
+    @pytest.mark.parametrize("name", ["tol_kkt", "tol_feas"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_tolerance_validation(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            QpSolver(np.eye(2)).solve(np.zeros(2), **{name: bad})
 
     def test_missing_b_eq_rejected(self):
         solver = QpSolver(np.eye(2), A_eq=[[1.0, 0.0]])
@@ -451,33 +487,34 @@ class TestWarmPath:
         cold = solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
         warm = solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
         assert (cold.path, warm.path) == ("cold", "warm")
-        assert cold.sweeps > 0
-        assert warm.iterations == 0
+        # the dual solve changed the working set; the warm sweep did not
+        assert cold.iterations > 0 and cold.sweeps == 0
+        assert warm.iterations == 0 and warm.sweeps > 0
         np.testing.assert_allclose(warm.z_star, cold.z_star, atol=1e-8)
         assert_dense_objective(cold, prob.P, prob.q)
         assert_dense_objective(warm, prob.P, prob.q)
 
-    def test_drastic_cost_change_falls_back_to_admm(self):
-        rng = np.random.default_rng(56)
+    def test_drastic_cost_change_takes_the_dual_solve(self):
+        # seed 399 is the first of 16 in seeds 0-2999 whose warm sweep does
+        # not certify on the flipped cost
+        rng = np.random.default_rng(399)
         prob = random_strictly_convex(rng, n=10, n_e=2, n_i=8)
         solver = QpSolver(prob.P, prob.A_eq, prob.A_in)
         first = solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
-        assert first.status == "optimal"
+        assert (first.status, first.path) == ("optimal", "cold")
         q = -prob.q
         sol = solver.solve(q, prob.b_eq, prob.lower, prob.upper)
         # the previous working set is wrong for the new cost
         assert np.any(np.sign(sol.multipliers_in) != np.sign(first.multipliers_in))
-        assert sol.path == "admm"
-        assert sol.iterations > 0
+        # the warm try ran first, then the dual solve from the empty set
+        assert sol.path == "cold" and sol.sweeps > 0 and sol.iterations > 0
         self.oracle_check(sol, prob.P, q, prob.A_eq, prob.b_eq, prob.A_in,
                           prob.lower, prob.upper)
         assert_dense_objective(sol, prob.P, q)
 
-    def test_drastic_cost_change_after_many_warm_solves_falls_back_to_admm(self):
-        # the ADMM state is built on this first use, from the last iterate.
-        # Most instances recover from the flipped cost on the active-set
-        # path; this one (seed 413, the first of 10 in seeds 0-2999 that
-        # start cold) does not, so ADMM has to run
+    def test_drastic_cost_change_after_many_warm_solves_takes_the_dual_solve(self):
+        # seed 413: after 11 warm solves, the sweep from the last set does
+        # not certify on the flipped cost, so the dual solve has to run
         rng = np.random.default_rng(413)
         prob = random_strictly_convex(rng, n=10, n_e=2, n_i=8)
         solver = QpSolver(prob.P, prob.A_eq, prob.A_in)
@@ -489,14 +526,10 @@ class TestWarmPath:
         assert paths[0] == "cold" and paths[1:] == ["warm"] * 11
         q = -prob.q
         sol = solver.solve(q, prob.b_eq, prob.lower, prob.upper)
-        assert (sol.status, sol.path) == ("optimal", "admm")
+        assert (sol.status, sol.path) == ("optimal", "cold")
         assert sol.iterations > 0 and sol.sweeps > 0
-        # here ADMM's own iterate certifies, at the KKT tolerance rather than
-        # exactly, so the objective agrees to 1e-7, not 1e-8
-        z_ref, obj_ref = active_set_oracle(prob.P, q, prob.A_eq, prob.b_eq,
-                                           prob.A_in, prob.lower, prob.upper)
-        np.testing.assert_allclose(sol.z_star, z_ref, atol=1e-6)
-        assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
+        self.oracle_check(sol, prob.P, q, prob.A_eq, prob.b_eq, prob.A_in,
+                          prob.lower, prob.upper)
 
     def test_uncertified_solve_does_not_seed_the_next(self):
         solver = QpSolver(np.eye(1), A_eq=[[1.0]], A_in=[[1.0]])
@@ -504,8 +537,8 @@ class TestWarmPath:
         assert (first.status, first.path) == ("optimal", "cold")
         assert solver.solve([0.1], [0.5], [0.0], [1.0]).path == "warm"
         # the equality leaves the box: primal infeasible
-        bad = solver.solve([0.0], [5.0], [0.0], [1.0], max_iter=300)
-        assert (bad.status, bad.path) == ("max_iterations", "uncertified")
+        bad = solver.solve([0.0], [5.0], [0.0], [1.0])
+        assert (bad.status, bad.path) == ("infeasible", "uncertified")
         again = solver.solve([0.0], [0.5], [0.0], [1.0])
         assert (again.status, again.path) == ("optimal", "cold")
         assert again.z_star[0] == pytest.approx(0.5, abs=1e-8)
@@ -544,7 +577,7 @@ class TestWarmPath:
 
 
 class TestSchurSweep:
-    """Sweeps on the Schur complement of the bound rows, against the oracle."""
+    """Solves on the Schur complement of the bound rows, against the oracle."""
 
     @pytest.mark.parametrize("seed, n_e, n_i", [(81, 4, 8), (82, 6, 7), (83, 1, 9),
                                                 (84, 0, 8)])
@@ -552,8 +585,8 @@ class TestSchurSweep:
         prob = random_strictly_convex(np.random.default_rng(seed), 12, n_e, n_i)
         solver = QpSolver(prob.P, prob.A_eq, prob.A_in)
         sol = solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
-        assert (sol.status, sol.path, sol.iterations) == ("optimal", "cold", 0)
-        assert sol.sweeps >= 1
+        assert (sol.status, sol.path, sol.sweeps) == ("optimal", "cold", 0)
+        assert 1 <= sol.iterations <= 2 * n_i
         TestWarmPath.oracle_check(sol, prob.P, prob.q, prob.A_eq, prob.b_eq,
                                   prob.A_in, prob.lower, prob.upper)
 
@@ -591,8 +624,21 @@ class TestSchurSweep:
                             lambda S: None if len(S) >= 2 else factor(S))
         monkeypatch.setattr(solver, "_kkt_solve", kkt_spy)
         sol = solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
-        assert sol.status == "optimal"
+        assert (sol.status, sol.path) == ("optimal", "cold")
         assert kkt_rows and max(kkt_rows) >= 2
+        TestWarmPath.oracle_check(sol, prob.P, prob.q, prob.A_eq, prob.b_eq,
+                                  prob.A_in, prob.lower, prob.upper)
+
+    @pytest.mark.parametrize("seed", [0, 16, 24, 33, 50, 55, 56])
+    def test_first_solves_where_the_batch_sweep_cycles(self, seed):
+        # from the empty set, the sweep that adds every violated row and
+        # drops every wrong-signed one at once cycles on these instances;
+        # the dual solve changes one row at a time and ends
+        prob = random_strictly_convex(np.random.default_rng(seed), 10, 2, 8)
+        sol = QpSolver(prob.P, prob.A_eq, prob.A_in).solve(prob.q, prob.b_eq,
+                                                           prob.lower, prob.upper)
+        assert (sol.status, sol.path) == ("optimal", "cold")
+        assert sol.iterations <= 2 * 8
         TestWarmPath.oracle_check(sol, prob.P, prob.q, prob.A_eq, prob.b_eq,
                                   prob.A_in, prob.lower, prob.upper)
 
