@@ -2,8 +2,9 @@
 
 Builds receding-horizon controllers directly from recorded input/output
 trajectories (no parametric model), optionally condensing the data matrix
-by SVD for fast online solves, and validates them in closed loop on a
-simulated cable-driven soft arm with a geometric baseline for comparison.
+for fast online solves (without loss through a QR, or truncated by SVD),
+and validates them in closed loop on a simulated cable-driven soft arm
+with a geometric baseline for comparison.
 """
 
 from .baseline import BaselineCommand, BaselineController, baseline_control
@@ -55,7 +56,7 @@ from .plants import (
     arm_sim_run,
 )
 from .qp import QpSolution, QpSolver
-from .reduction import factorize_and_condense, select_rank
+from .reduction import condense_lossless, factorize_and_condense, select_rank
 from .runlog import (
     RunLog,
     StageSpec,
@@ -106,6 +107,7 @@ __all__ = [
     "collect_dataset",
     "compare_controllers",
     "compute_metrics",
+    "condense_lossless",
     "default_config_path",
     "export_run",
     "factorize_and_condense",

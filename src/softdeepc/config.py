@@ -40,7 +40,7 @@ class ExperimentConfig:
     u_upper: float = 90.0
     use_reduction: bool = True
     reduction_energy: float = 0.999
-    reduction_rank: int = 220  # 0 selects the rank by the energy rule
+    reduction_rank: int = -1  # -1 condenses without loss, 0 by the energy rule
     tol_kkt: float = 1e-8
     tol_feas: float = 1e-8
     max_iter: int = 20000
@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ValueError("u_lower must be below u_upper")
         if not 0.0 < self.reduction_energy <= 1.0:
             raise ValueError("reduction_energy must lie in (0, 1]")
+        if self.reduction_rank < -1:
+            raise ValueError("reduction_rank must be -1, 0 or a positive rank")
         if self.dataset_steps < 1:
             raise ValueError("dataset_steps must be positive")
         if not self.amp_lower < self.amp_upper:

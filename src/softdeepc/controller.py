@@ -12,7 +12,7 @@ analytically, so the QP decision variable is g alone; lambda_y = inf turns
 the slack off entirely and enforces Yp g = y_ini as a hard equality.
 
 The data is one HankelPartition, raw (g has one entry per data window) or
-SVD-condensed (g has r entries); only the column count differs.
+condensed (g has r entries); only the column count differs.
 """
 
 import math
@@ -150,7 +150,11 @@ class HistoryBuffer:
 
 @dataclass(frozen=True)
 class DeePCStepResult:
-    """One receding-horizon solve; solver_path is the QpSolution path."""
+    """One receding-horizon solve; the solver fields are the QpSolution's.
+
+    solver_path is its path, iterations its dual working-set changes and
+    sweeps its active-set sweeps.
+    """
 
     optimal_inputs: np.ndarray      # (horizon, m)
     predicted_outputs: np.ndarray   # (horizon, p)
@@ -161,6 +165,7 @@ class DeePCStepResult:
     kkt_residual: float
     iterations: int
     solver_path: str
+    sweeps: int
 
 
 class DeePCTemplate:
@@ -183,8 +188,9 @@ class DeePCTemplate:
         self.condensed = data.condensed
         if self.condensed and config.lambda_g == 0.0:
             raise ValueError(
-                "lambda_g must be positive with condensed data: the reduced "
-                "problem needs the regularizer for strict convexity"
+                "lambda_g must be positive with condensed data: the condensed "
+                "problem matches the raw one only when the regularizer keeps "
+                "the raw optimum in the span of the data"
             )
         self.m = data.input_dim
         self.p = data.output_dim
@@ -288,7 +294,7 @@ def step(template: DeePCTemplate, history: HistoryBuffer,
         optimal_inputs=u, predicted_outputs=y, decision_vector=g,
         sigma_y=sigma_y, objective=objective, solver_status=sol.status,
         kkt_residual=sol.kkt_residual, iterations=sol.iterations,
-        solver_path=sol.path,
+        solver_path=sol.path, sweeps=sol.sweeps,
     )
 
 

@@ -1,7 +1,7 @@
 """Closed-loop experiments on the simulated soft arm.
 
 Ties the package together: collect excitation data on the plant, assemble a
-data-driven controller (optionally SVD-condensed), run fixed-point or
+data-driven controller (optionally condensed), run fixed-point or
 circle-tracking tasks against either that controller or the geometric
 baseline, and log everything for metric computation and export. The run loop
 itself is controller-agnostic: a policy is just a callable producing the next
@@ -31,7 +31,7 @@ from .hankel import (
 )
 from .kinematics import ArmGeometry, cc_forward, cc_inverse
 from .plants import DisturbanceConfig, SoftArmPlant
-from .reduction import factorize_and_condense, select_rank
+from .reduction import condense_lossless, factorize_and_condense, select_rank
 from .runlog import RunLog, StageSpec, compute_metrics
 
 
@@ -211,14 +211,14 @@ def build_controller(cfg: ExperimentConfig, dataset: TrajectoryDataset) -> DeePC
     partition = partition_past_future(build_hankel(dataset.inputs, depth),
                                       build_hankel(dataset.outputs, depth),
                                       cfg.t_ini, cfg.horizon)
-    if cfg.use_reduction:
-        if cfg.reduction_rank > 0:
-            r = min(cfg.reduction_rank, *partition.matrix.shape)
-            data = factorize_and_condense(partition, r=r)
-        else:
-            data = _raise_rank_until_feasible(partition, cfg.reduction_energy)
-    else:
+    if not cfg.use_reduction:
         data = partition
+    elif cfg.reduction_rank == 0:
+        data = _raise_rank_until_feasible(partition, cfg.reduction_energy)
+    elif 0 < cfg.reduction_rank < min(partition.matrix.shape):
+        data = factorize_and_condense(partition, r=cfg.reduction_rank)
+    else:
+        data = condense_lossless(partition)
     u_hi = np.minimum(dataset.inputs.max(axis=0), cfg.u_upper)
     control_cfg = DeePCConfig(
         t_ini=cfg.t_ini,

@@ -6,7 +6,7 @@ sample i sit in rows [i*d, (i+1)*d) of the column.
 
 HankelPartition is the one data-matrix type the controller consumes: the
 stacked [Up; Uf; Yp; Yf] rows, either raw (one column per data window) or
-SVD-condensed to r columns by the reduction module.
+condensed to r columns by the reduction module.
 """
 
 from dataclasses import dataclass
@@ -158,9 +158,12 @@ class HankelPartition:
     Rows stack the depth-(t_ini + horizon) input Hankel over the output
     Hankel, so Up/Yp are the first t_ini block rows of each and Uf/Yf the
     last `horizon`. Raw data has one column per data window (T - L + 1).
-    SVD-condensed data (reduction.factorize_and_condense) keeps the rows and
-    has r columns; singular_values then holds the spectrum of the raw matrix,
-    and is None for raw data.
+
+    Condensed data keeps the rows and has r columns: the raw matrix times
+    an orthonormal V, so that its decision vector h stands for g = V h and
+    ||g|| = ||h||. reduction.condense_lossless takes V from a QR and keeps
+    everything; reduction.factorize_and_condense truncates an SVD, and only
+    it sets singular_values, the spectrum of the raw matrix.
     """
 
     matrix: np.ndarray
@@ -169,6 +172,7 @@ class HankelPartition:
     t_ini: int
     horizon: int
     singular_values: np.ndarray | None = None
+    condensed: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze(self.matrix))
@@ -178,6 +182,8 @@ class HankelPartition:
                 f"matrix has shape {self.matrix.shape}, expected ({rows}, K >= 1)"
             )
         if self.singular_values is not None:
+            if not self.condensed:
+                raise ValueError("singular_values belong to condensed data")
             s = _freeze(self.singular_values)
             object.__setattr__(self, "singular_values", s)
             if s.ndim != 1:
@@ -218,10 +224,6 @@ class HankelPartition:
     def rank_used(self) -> int:
         """The column count: r for condensed data."""
         return self.columns
-
-    @property
-    def condensed(self) -> bool:
-        return self.singular_values is not None
 
 
 def partition_past_future(Hu: BlockHankel, Hy: BlockHankel, t_ini: int, horizon: int) -> HankelPartition:

@@ -33,11 +33,12 @@ solve works on the n x rows maps and the small blocks.
 The working set of the last certified solve seeds the next solve, shifted
 forward by seed_shift rows, and sweeps from there ("warm"): each sweep holds
 the set, then adds every row pushed out of the box and drops every
-wrong-signed one, until the set stops changing. In a receding-horizon loop
-whose bound rows are the future inputs, a shift of one input block lines the
-previous plan up with the current one. A plan that stands still over the
-horizon (a saturated steady state) does not move that way, so the set stays
-unshifted when the step before matched it better unshifted.
+wrong-signed one, until the set stops changing or returns to a set it held
+before (the sweeps cycle). In a receding-horizon loop whose bound rows are
+the future inputs, a shift of one input block lines the previous plan up
+with the current one. A plan that stands still over the horizon (a
+saturated steady state) does not move that way, so the set stays unshifted
+when the step before matched it better unshifted.
 
 Without a seed, or when the seeded sweep does not certify, the dual
 active-set method of Goldfarb & Idnani (Math. Prog. 27, 1983) runs on the
@@ -406,7 +407,9 @@ class QpSolver:
         then adds rows the solution pushed out of the box and drops rows
         whose multiplier sign contradicts the side they are pinned to, until
         the set stops changing. On the Schur complement a sweep solves for
-        the bound multipliers alone and reads A_in z off them. Returns
+        the bound multipliers alone and reads A_in z off them. A sweep is a
+        fixed map of the working set, so a set seen before means the sweeps
+        cycle: they stop there, as they do after max_sweeps. Returns
         ((z, nu_eq, y, low, up) or None, sweeps); the caller certifies the
         result, so a bad outcome is merely discarded.
         """
@@ -415,6 +418,7 @@ class QpSolver:
         low = (low & np.isfinite(lower)) | pinned
         up = up & np.isfinite(upper) & ~pinned
         w, nu0, r = self._reduced(q, b_e)
+        seen = {low.tobytes() + up.tobytes()}
         for sweep in range(1, max_sweeps + 1):
             act = np.concatenate([np.flatnonzero(low), np.flatnonzero(up)])
             y, Az, kkt = self._hold(q, b_e, r, act, np.where(low, lower, upper)[act])
@@ -426,8 +430,10 @@ class QpSolver:
             # a low-pinned row wants y <= 0, an up-pinned row y >= 0
             new_low = (low & ~((y > tol) & ~pinned)) | (Az < lower - tol)
             new_up = ((up & ~(y < -tol)) | (Az > upper + tol)) & ~new_low
-            if sweep == max_sweeps or ((new_low == low).all() and (new_up == up).all()):
+            key = new_low.tobytes() + new_up.tobytes()
+            if sweep == max_sweeps or key in seen:
                 break
+            seen.add(key)
             low, up = new_low, new_up
 
         primal = self._primal(w, nu0, y, kkt)

@@ -1,19 +1,26 @@
-"""SVD condensation of the stacked Hankel data matrix.
+"""Condensation of the stacked Hankel data matrix [Up; Uf; Yp; Yf].
 
-The data matrix [Up; Uf; Yp; Yf] is factorized with a thin SVD; keeping
-the top r singular directions yields a condensed data matrix with r
-columns that spans (approximately) the same trajectory space, shrinking
-the decision variable of the downstream predictive controller from
-T - L + 1 to r. Raw and condensed data share one type, HankelPartition:
-condensation keeps the row blocks and cuts the columns.
+Both ways substitute g = V h for the decision vector of the downstream
+predictive controller, with V orthonormal, and keep the data matrix
+stack @ V: the same row blocks over fewer columns. Raw and condensed data
+share one type, HankelPartition.
 
-Only the left singular vectors W and the singular values s are needed, so
-the right factor is never formed. A wide stack (more columns than rows, the
-usual case) is first reduced by a QR factorization of its transpose,
-stack' = Q R: then stack = R' Q' with Q orthonormal, so the SVD of the
-rows x rows triangle R' has the same W and s, and the columns enter only
-through the QR (Zhang, Zheng, Shang & Li, "Dimension reduction for
-efficient data-enabled predictive control", IEEE L-CSS 2023).
+condense_lossless takes V from the QR factorization stack' = Q R. Then
+stack @ Q = R', the triangle that qr(stack', mode="r") returns without
+forming Q (rows x rows for the usual wide stack), and range(Q) contains
+range(stack'). The cost and every constraint read g only through stack @ g
+and ||g||^2, so with lambda_g > 0 the optimum lies in range(stack') and the
+condensed problem is the raw one
+(the lossless case of Zhang, Zheng, Shang & Li, "Dimension reduction for
+efficient data-enabled predictive control", IEEE L-CSS 2023). It holds
+whether or not the stack has full row rank, and needs no SVD.
+
+factorize_and_condense truncates: it keeps the top r left singular
+directions of a thin SVD, stack @ V1 = W1 diag(s1), which spans the
+trajectory space only approximately when r is below the stack's rank.
+Only W and s are needed, so the right factor is never formed, and a wide
+stack (more columns than rows, the usual case) is reduced to the triangle
+R' of the same QR first: the SVD of R' has the same W and s.
 """
 
 import dataclasses
@@ -25,7 +32,16 @@ from scipy.linalg import qr
 # the benchmark tracer wraps reduction.numerical_rank.
 from .hankel import HankelPartition, numerical_rank, singular_value_rank  # noqa: F401
 
-__all__ = ["select_rank", "factorize_and_condense"]
+__all__ = ["select_rank", "condense_lossless", "factorize_and_condense"]
+
+
+def _qr_triangle(matrix: np.ndarray) -> np.ndarray:
+    """R' of the QR factorization matrix' = Q R, min(shape) columns.
+
+    matrix = R' Q' with Q orthonormal. The matrix must be finite.
+    """
+    k = min(matrix.shape)
+    return qr(matrix.T, mode="r", check_finite=False)[0][:k].T
 
 
 def left_singular(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -36,7 +52,7 @@ def left_singular(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     rows, cols = matrix.shape
     if cols > rows:
-        matrix = qr(matrix.T, mode="r", check_finite=False)[0][:rows].T
+        matrix = _qr_triangle(matrix)
     W, s, _ = np.linalg.svd(matrix, full_matrices=False)
     return W, s
 
@@ -61,6 +77,17 @@ def select_rank(singular_values, energy_fraction: float = 0.999) -> int:
     return int(np.searchsorted(cumulative, energy_fraction, side="left")) + 1
 
 
+def condense_lossless(partition: HankelPartition) -> HankelPartition:
+    """The condensation that loses nothing: the triangle R' of stack' = Q R.
+
+    Keeps min(rows, columns) columns, the row layout of the partition, and
+    no singular values. With lambda_g > 0 a controller on it solves the same
+    problem as one on the raw partition.
+    """
+    return dataclasses.replace(partition, matrix=_qr_triangle(partition.matrix),
+                               condensed=True)
+
+
 def factorize_and_condense(partition: HankelPartition, r: int | None = None,
                            energy_fraction: float = 0.999) -> HankelPartition:
     """Thin-SVD the stacked [Up; Uf; Yp; Yf] matrix and keep r columns.
@@ -79,4 +106,5 @@ def factorize_and_condense(partition: HankelPartition, r: int | None = None,
     else:
         if not 1 <= r <= max_r:
             raise ValueError(f"r must lie in [1, {max_r}], got {r}")
-    return dataclasses.replace(partition, matrix=W[:, :r] * s[:r], singular_values=s)
+    return dataclasses.replace(partition, matrix=W[:, :r] * s[:r], singular_values=s,
+                               condensed=True)

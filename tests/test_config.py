@@ -84,6 +84,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="reduction_energy"):
             ExperimentConfig(reduction_energy=1.5)
 
+    def test_reduction_rank_range(self):
+        with pytest.raises(ValueError, match="reduction_rank"):
+            ExperimentConfig(reduction_rank=-2)
+        for rank in (-1, 0, 1):
+            assert ExperimentConfig(reduction_rank=rank).reduction_rank == rank
+
     def test_dither_fields_validated(self):
         with pytest.raises(ValueError, match="dither_halfwidth"):
             ExperimentConfig(dither_halfwidth=0.0)

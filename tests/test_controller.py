@@ -426,6 +426,8 @@ class TestClosedLoop(ScenarioMixin):
         _, second, _ = ctrl.compute(np.ones((8, 1)))
         assert (first.solver_path, second.solver_path) == ("cold", "warm")
         assert second.iterations == 0
+        # the dual solve sweeps nothing; the warm try at least once
+        assert first.sweeps == 0 and second.sweeps > 0
         np.testing.assert_allclose(second.decision_vector, first.decision_vector,
                                    atol=1e-8)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from oracles import arm_step_reference
 
+from softdeepc import controller as controller_module
 from softdeepc import experiments
 from softdeepc.config import ExperimentConfig
 from softdeepc.excitation import ExcitationSpec, generate_excitation
@@ -27,7 +28,8 @@ from softdeepc.experiments import (
     run_fixed_point,
 )
 from softdeepc.hankel import build_hankel, is_persistently_exciting, partition_past_future
-from softdeepc.runlog import StageSpec
+from softdeepc.reduction import condense_lossless
+from softdeepc.runlog import StageSpec, export_run
 
 
 def small_cfg(**overrides):
@@ -189,6 +191,37 @@ class TestBuildController:
         stack_rows = 2 * 3 * depth
         assert controller.template.Uf.shape[1] == min(stack_rows, columns)
 
+    def test_default_condenses_without_loss_and_without_svd(self, monkeypatch):
+        # the default holds for any window: here 84 rows, not the shipped 300
+        cfg = small_cfg(reduction_rank=ExperimentConfig().reduction_rank)
+        dataset = collect_dataset(cfg, seed=0)
+        depth = cfg.t_ini + cfg.horizon
+        partition = partition_past_future(build_hankel(dataset.inputs, depth),
+                                          build_hankel(dataset.outputs, depth),
+                                          cfg.t_ini, cfg.horizon)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recorded_svd(matrix, *args, **kwargs):
+            shapes.append(matrix.shape)
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        tpl = build_controller(cfg, dataset).template
+        stack = np.vstack([tpl.Up, tpl.Uf, tpl.Yp, tpl.Yf])
+        assert tpl.condensed and stack.shape == (6 * depth, 6 * depth)
+        # the only SVD is the solver's, of the 18 history-input rows
+        assert shapes == [(3 * cfg.t_ini, 3 * cfg.t_ini)]
+        np.testing.assert_array_equal(stack, condense_lossless(partition).matrix)
+
+    @pytest.mark.parametrize("rank", [84, 10_000])
+    def test_rank_from_the_row_count_up_is_lossless(self, rank):
+        dataset = collect_dataset(small_cfg(), seed=0)
+        lossless = build_controller(small_cfg(reduction_rank=-1), dataset).template
+        tpl = build_controller(small_cfg(reduction_rank=rank), dataset).template
+        for block in ("Up", "Uf", "Yp", "Yf"):
+            np.testing.assert_array_equal(getattr(tpl, block), getattr(lossless, block))
+
     def test_no_reduction_keeps_raw_columns(self):
         cfg = small_cfg(use_reduction=False)
         dataset = collect_dataset(cfg, seed=0)
@@ -330,6 +363,29 @@ class TestClosedLoopRuns:
     def test_unknown_controller_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown controller kind"):
             run_fixed_point(small_cfg(), controller="pid", seed=1)
+
+    def test_export_does_not_read_solver_sweeps(self, tmp_path, monkeypatch):
+        # the step result carries the solver's sweep count; the exported
+        # bytes must not change with it
+        cfg = small_cfg()
+        dataset = collect_dataset(cfg, seed=0)
+        real_step = controller_module.step
+        sweeps = []
+
+        def run(name):
+            log = run_fixed_point(cfg, controller="deepc", seed=3, dataset=dataset)
+            export_run(log, tmp_path / name)
+            return [(tmp_path / name / f).read_bytes() for f in ("run.csv", "metrics.json")]
+
+        def recording_step(*args, **kwargs):
+            result = real_step(*args, **kwargs)
+            sweeps.append(result.sweeps)
+            return dataclasses.replace(result, sweeps=result.sweeps + 10**6)
+
+        plain = run("plain")
+        monkeypatch.setattr(controller_module, "step", recording_step)
+        assert run("altered") == plain
+        assert len(sweeps) == 50 and max(sweeps) > 0
 
 
 class TestCompare:

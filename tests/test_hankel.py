@@ -244,7 +244,7 @@ class TestPartition:
         matrix = np.arange(12.0).reshape(6, 2)
         sv = np.array([3.0, 1.0])
         part = HankelPartition(matrix=matrix, input_dim=1, output_dim=1, t_ini=2,
-                               horizon=1, singular_values=sv)
+                               horizon=1, singular_values=sv, condensed=True)
         matrix[0, 0] = sv[0] = -1.0
         assert part.matrix[0, 0] == 0.0 and part.singular_values[0] == 3.0
         assert not part.matrix.flags.writeable

@@ -531,6 +531,25 @@ class TestWarmPath:
         self.oracle_check(sol, prob.P, q, prob.A_eq, prob.b_eq, prob.A_in,
                           prob.lower, prob.upper)
 
+    # every seed in 0-2999 whose warm try on the flipped cost does not certify
+    CYCLING_SEEDS = [399, 413, 545, 658, 1022, 1496, 1517, 1601, 1774, 1826,
+                     1921, 2058, 2167, 2256, 2260, 2585]
+
+    @pytest.mark.parametrize("seed", CYCLING_SEEDS)
+    def test_cycling_warm_try_stops_at_the_first_repeated_set(self, seed):
+        # the batch sweep is a fixed map of the working set; on these seeds
+        # it returns to an earlier set within 11 sweeps, where it used to run
+        # all 25 before the dual solve took over
+        rng = np.random.default_rng(seed)
+        prob = random_strictly_convex(rng, n=10, n_e=2, n_i=8)
+        solver = QpSolver(prob.P, prob.A_eq, prob.A_in)
+        solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
+        q = -prob.q
+        sol = solver.solve(q, prob.b_eq, prob.lower, prob.upper)
+        assert sol.path == "cold" and 0 < sol.sweeps <= 11
+        self.oracle_check(sol, prob.P, q, prob.A_eq, prob.b_eq, prob.A_in,
+                          prob.lower, prob.upper)
+
     def test_uncertified_solve_does_not_seed_the_next(self):
         solver = QpSolver(np.eye(1), A_eq=[[1.0]], A_in=[[1.0]])
         first = solver.solve([0.0], [0.5], [0.0], [1.0])
@@ -727,7 +746,7 @@ class TestSeedShift:
         assert [s.sweeps for s, _ in pairs[-20:]] == [1] * 20
 
     def test_soft_arm_loop_agrees_with_fewer_sweeps(self, monkeypatch):
-        # the shipped rank-220 controller on two fixed-point stages
+        # the shipped lossless controller on two fixed-point stages
         pairs = []
         monkeypatch.setattr(controller, "QpSolver", self.twin_solver(pairs))
         cfg = ExperimentConfig()

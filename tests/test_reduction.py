@@ -1,17 +1,21 @@
-"""Tests for SVD condensation of stacked Hankel data."""
+"""Tests for lossless and SVD condensation of stacked Hankel data."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from oracles import collect_lti_dataset, random_minimal_lti, rollout
 
 from softdeepc import experiments, reduction
 from softdeepc.config import ExperimentConfig
+from softdeepc.controller import DeePCConfig, assemble, step
 from softdeepc.hankel import (
     HankelPartition,
     build_hankel,
     numerical_rank,
     partition_past_future,
 )
-from softdeepc.reduction import factorize_and_condense, select_rank
+from softdeepc.reduction import condense_lossless, factorize_and_condense, select_rank
 
 
 def make_partition(m=2, p=1, t_ini=4, horizon=6, T=80, seed=0, plant=None):
@@ -299,15 +303,101 @@ class TestAutoRankFactorizesOnce:
 
 
 class TestCondensedPartitionValidation:
+    def test_singular_values_need_condensed_data(self):
+        with pytest.raises(ValueError, match="condensed"):
+            HankelPartition(matrix=np.zeros((4, 1)), input_dim=1, output_dim=1,
+                            t_ini=1, horizon=1, singular_values=[1.0])
+
     def test_bad_singular_order_rejected(self):
         with pytest.raises(ValueError, match="descending"):
             HankelPartition(matrix=np.zeros((4, 1)), input_dim=1, output_dim=1,
-                            t_ini=1, horizon=1, singular_values=[1.0, 2.0])
+                            t_ini=1, horizon=1, singular_values=[1.0, 2.0],
+                            condensed=True)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="matrix has shape"):
             HankelPartition(matrix=np.zeros((5, 2)), input_dim=1, output_dim=1,
-                            t_ini=1, horizon=1, singular_values=[2.0, 1.0])
+                            t_ini=1, horizon=1, singular_values=[2.0, 1.0],
+                            condensed=True)
         with pytest.raises(ValueError, match="singular values"):
             HankelPartition(matrix=np.zeros((4, 3)), input_dim=1, output_dim=1,
-                            t_ini=1, horizon=1, singular_values=[2.0, 1.0])
+                            t_ini=1, horizon=1, singular_values=[2.0, 1.0],
+                            condensed=True)
+
+
+def first_input(template, u_hist, y_hist, refs):
+    history = template.make_history()
+    for u, y in zip(u_hist, y_hist):
+        history.push(u, y)
+    result = step(template, history, refs)
+    assert result.solver_status == "optimal"
+    return result.optimal_inputs[0]
+
+
+class TestLosslessCondensation:
+    """The QR triangle R' of stack' = Q R stands in for the raw stack."""
+
+    @pytest.mark.parametrize("T", [200, 30], ids=["wide", "tall"])
+    def test_triangle_keeps_the_gram_matrix(self, T, monkeypatch):
+        part = make_partition(seed=22, T=T)
+        stack = part.matrix
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the lossless condensation runs no SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        cond = condense_lossless(part)
+        assert cond.matrix.shape == (stack.shape[0], min(stack.shape))
+        assert cond.condensed and cond.singular_values is None
+        assert (cond.t_ini, cond.horizon) == (part.t_ini, part.horizon)
+        # stack = R' Q' with Q orthonormal, so stack stack' = R' R
+        gram = stack @ stack.T
+        np.testing.assert_allclose(cond.matrix @ cond.matrix.T, gram, rtol=0,
+                                   atol=1e-12 * np.abs(gram).max())
+
+    @pytest.mark.parametrize("n, t_ini, horizon, full_row_rank",
+                             [(6, 2, 3, True), (2, 3, 6, False)],
+                             ids=["full_row_rank", "rank_deficient"])
+    def test_noiseless_lti_first_inputs_match_raw(self, n, t_ini, horizon,
+                                                  full_row_rank):
+        rng = np.random.default_rng(n)
+        A, B, C, D = random_minimal_lti(rng, n, 1, 1)
+        u_d, y_d = collect_lti_dataset(A, B, C, D, rng, 200)
+        depth = t_ini + horizon
+        part = partition_past_future(build_hankel(u_d, depth),
+                                     build_hankel(y_d, depth), t_ini, horizon)
+        assert (numerical_rank(part.matrix) == part.matrix.shape[0]) == full_row_rank
+        cfg = DeePCConfig(t_ini=t_ini, horizon=horizon, Q=1.0, R=0.01,
+                          lambda_g=1.0, lambda_y=1e4, u_lower=-0.5, u_upper=0.5)
+        raw, lossless = assemble(cfg, part), assemble(cfg, condense_lossless(part))
+        saturated = 0
+        for _ in range(10):
+            u_h = rng.uniform(-0.5, 0.5, (t_ini, 1))
+            y_h, _ = rollout(A, B, C, D, u_h, x0=rng.standard_normal(n))
+            refs = 2.0 * rng.standard_normal((horizon, 1))
+            u_raw = first_input(raw, u_h, y_h, refs)
+            np.testing.assert_allclose(first_input(lossless, u_h, y_h, refs), u_raw,
+                                       rtol=0, atol=1e-8)
+            saturated += int(abs(u_raw[0]) >= 0.5 - 1e-9)
+        assert saturated > 0  # the input box binds on some cases
+
+    def test_soft_arm_first_inputs_match_raw(self):
+        # seed-0 dataset at the shipped config: 300 rows, 1451 columns. The
+        # raw problem's conditioning limits agreement to about 5e-8 (inputs
+        # range over [0, 90])
+        cfg = ExperimentConfig()
+        dataset = experiments.collect_dataset(cfg, seed=0)
+        raw = experiments.build_controller(
+            dataclasses.replace(cfg, use_reduction=False), dataset).template
+        lossless = experiments.build_controller(cfg, dataset).template
+        assert (raw.n_g, lossless.n_g) == (1451, 300) and lossless.condensed
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            end = int(rng.integers(cfg.t_ini, dataset.length))
+            window = slice(end - cfg.t_ini, end)
+            target = dataset.outputs[int(rng.integers(dataset.length))]
+            refs = np.tile(target, (cfg.horizon, 1))
+            u_h, y_h = dataset.inputs[window], dataset.outputs[window]
+            np.testing.assert_allclose(first_input(lossless, u_h, y_h, refs),
+                                       first_input(raw, u_h, y_h, refs),
+                                       rtol=0, atol=1e-6)
