@@ -17,7 +17,6 @@ condensed (g has r entries); only the column count differs.
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +83,13 @@ class DeePCConfig:
             raise ValueError(f"t_ini must be >= 1, got {self.t_ini}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        # a NaN passes every comparison, so each field is checked for it
+        for name in ("Q", "R", "lambda_g"):
+            if not np.isfinite(np.asarray(getattr(self, name), dtype=float)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("lambda_y", "u_lower", "u_upper"):
+            if np.isnan(np.asarray(getattr(self, name), dtype=float)).any():
+                raise ValueError(f"{name} must not be NaN, got {getattr(self, name)}")
         if self.lambda_g < 0:
             raise ValueError(f"lambda_g must be >= 0, got {self.lambda_g}")
         if self.lambda_y < 0:
@@ -105,7 +111,11 @@ class DeePCConfig:
 
 
 class HistoryBuffer:
-    """Rolling window of the last t_ini applied inputs and measured outputs."""
+    """Rolling window of the last t_ini applied inputs and measured outputs.
+
+    Each side is one flat array, oldest sample first, that a push shifts by
+    one sample; u_ini and y_ini are one copy each.
+    """
 
     def __init__(self, t_ini: int, input_dim: int, output_dim: int):
         if t_ini < 1:
@@ -113,26 +123,30 @@ class HistoryBuffer:
         self.t_ini = t_ini
         self.input_dim = input_dim
         self.output_dim = output_dim
-        self._u: deque = deque(maxlen=t_ini)
-        self._y: deque = deque(maxlen=t_ini)
+        self._u = np.zeros(t_ini * input_dim)
+        self._y = np.zeros(t_ini * output_dim)
+        self._count = 0
 
     def push(self, u, y):
         u = np.asarray(u, dtype=float).reshape(self.input_dim)
         y = np.asarray(y, dtype=float).reshape(self.output_dim)
-        self._u.append(u)
-        self._y.append(y)
+        for buf, sample in ((self._u, u), (self._y, y)):
+            d = len(sample)
+            buf[:-d] = buf[d:]
+            buf[-d:] = sample
+        self._count = min(self._count + 1, self.t_ini)
 
     @property
     def full(self) -> bool:
-        return len(self._u) == self.t_ini
+        return self._count == self.t_ini
 
     def __len__(self) -> int:
-        return len(self._u)
+        return self._count
 
     def _require_full(self):
         if not self.full:
             raise ValueError(
-                f"history holds {len(self._u)} of {self.t_ini} samples; "
+                f"history holds {self._count} of {self.t_ini} samples; "
                 "push more before querying"
             )
 
@@ -140,12 +154,12 @@ class HistoryBuffer:
     def u_ini(self) -> np.ndarray:
         """Stacked inputs, oldest first, length t_ini * m."""
         self._require_full()
-        return np.concatenate(list(self._u))
+        return self._u.copy()
 
     @property
     def y_ini(self) -> np.ndarray:
         self._require_full()
-        return np.concatenate(list(self._y))
+        return self._y.copy()
 
 
 @dataclass(frozen=True)
@@ -171,9 +185,11 @@ class DeePCStepResult:
 class DeePCTemplate:
     """Reference-independent matrices for one controller configuration.
 
-    Immutable after construction; per-step work is limited to the linear
-    cost term, the equality right-hand side, and one QP solve (whose dense
-    factorizations are cached inside the bound QpSolver).
+    Immutable after construction. A step reads the data rows [Uf; Yp; Yf]
+    twice, once transposed for the linear cost and once for the plan, and
+    otherwise runs one QP solve, whose dense factorizations are cached
+    inside the bound QpSolver; the objective it reports is the solve's plus
+    the cost terms free of g, so no horizon-sized weight matrix is kept.
     """
 
     def __init__(self, config: DeePCConfig, data: HankelPartition):
@@ -201,10 +217,9 @@ class DeePCTemplate:
         self.n_g = self.Up.shape[1]
 
         N, t_ini = config.horizon, config.t_ini
-        Q, Q_root = _weight_matrix(config.Q, self.p, "Q")
-        R, R_root = _weight_matrix(config.R, self.m, "R")
-        self.Qt = np.kron(np.eye(N), Q)
-        self.Rt = np.kron(np.eye(N), R)
+        # the per-step output weight; the step's objective reads it
+        self.Q, Q_root = _weight_matrix(config.Q, self.p, "Q")
+        _, R_root = _weight_matrix(config.R, self.m, "R")
         self.hard_history = math.isinf(config.lambda_y)
 
         def per_step(root, block):
@@ -223,11 +238,15 @@ class DeePCTemplate:
         self.P[np.diag_indices(self.n_g)] += 2.0 * config.lambda_g
         # the solver keeps P by reference
         self.P.flags.writeable = False
-        # q(y_ref, y_ini) = -ref_map @ y_ref - ini_map @ y_ini
-        QtYf = (Q @ self.Yf.reshape(N, self.p, self.n_g)).reshape(-1, self.n_g)
-        self._ref_map = 2.0 * QtYf.T
-        self._ini_map = (np.zeros((self.n_g, self.p * t_ini)) if self.hard_history
-                         else 2.0 * config.lambda_y * self.Yp.T)
+        # [Uf; Yp; Yf], contiguous rows of the data matrix: one product with
+        # the solution gives the planned inputs, the slack and the predictions.
+        # The linear cost q = -2 (Yp' lambda_y y_ini + Yf' Qt y_ref) is one
+        # product with the transpose of its last rows, [Yp; Yf] with a slack
+        # cost and Yf without, so the step reads no other map of the data.
+        self._plan_map = np.asarray(data.matrix)[self.m * t_ini :]
+        self._slack_cost = not self.hard_history and config.lambda_y > 0.0
+        self._cost_rows = self._plan_map[self.m * N + (0 if self._slack_cost
+                                                       else self.p * t_ini) :]
 
         if self.hard_history:
             self.A_eq = np.vstack([self.Up, self.Yp])
@@ -272,7 +291,12 @@ def step(template: DeePCTemplate, history: HistoryBuffer,
     u_ini = history.u_ini
     y_ini = history.y_ini
 
-    q = -(template._ref_map @ refs) - (template._ini_map @ y_ini)
+    Qt_ref = (refs.reshape(N, p) @ template.Q).reshape(-1)
+    if template._slack_cost:
+        q = template._cost_rows.T @ np.concatenate([(-2.0 * cfg.lambda_y) * y_ini,
+                                                    -2.0 * Qt_ref])
+    else:
+        q = template._cost_rows.T @ (-2.0 * Qt_ref)
     b_eq = np.concatenate([u_ini, y_ini]) if template.hard_history else u_ini
     sol = template.solver.solve(
         q, b_eq, template.box_lower, template.box_upper,
@@ -280,15 +304,17 @@ def step(template: DeePCTemplate, history: HistoryBuffer,
     )
 
     g = sol.z_star
-    u = (template.Uf @ g).reshape(N, m)
-    y = (template.Yf @ g).reshape(N, p)
-    sigma_y = template.Yp @ g - y_ini
+    plan = template._plan_map @ g
+    n_u, n_p = N * m, cfg.t_ini * p
+    u = plan[:n_u].reshape(N, m)
+    sigma_y = plan[n_u : n_u + n_p] - y_ini
+    y = plan[n_u + n_p :].reshape(N, p)
 
-    dy = (y.reshape(-1) - refs)
-    objective = float(dy @ template.Qt @ dy + u.reshape(-1) @ template.Rt @ u.reshape(-1)
-                      + cfg.lambda_g * (g @ g))
+    # the QP objective is the cost less its terms free of g: y_ref' Qt y_ref,
+    # and lambda_y ||y_ini||^2 with a slack
+    objective = sol.objective + float(refs @ Qt_ref)
     if not template.hard_history:
-        objective += float(cfg.lambda_y * (sigma_y @ sigma_y))
+        objective += cfg.lambda_y * float(y_ini @ y_ini)
 
     return DeePCStepResult(
         optimal_inputs=u, predicted_outputs=y, decision_vector=g,
@@ -340,10 +366,10 @@ class DeePCController:
             self.fallback_count += 1
             base = (self._last_applied if self._last_applied is not None
                     else np.zeros(self.template.m))
-            u0 = np.clip(base, self.template.u_lower, self.template.u_upper)
         else:
-            u0 = np.clip(result.optimal_inputs[0], self.template.u_lower,
-                         self.template.u_upper)
+            base = result.optimal_inputs[0]
+        # np.minimum/np.maximum: np.clip costs about three times as much
+        u0 = np.minimum(np.maximum(base, self.template.u_lower), self.template.u_upper)
         self._last_applied = u0.copy()
         return u0, result, fell_back
 

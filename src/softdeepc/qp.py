@@ -14,21 +14,31 @@ C = S_ii - S_ie S_ee^-1 S_ei of the bound rows. A solve then factors only
 blocks of C on the working set (the rows held at a bound), reads A_in z off
 the bound multipliers, and forms nu and z once at the end. Dependent equality
 rows are replaced by the same number of independent ones spanning their
-range, and their multipliers are mapped back. A singular P, or a block whose
-Cholesky factorization fails, takes a regularized KKT solve instead.
+range, and their multipliers are mapped back.
+
+Each block (S_ee once, at construction; a block of C per working set) is
+factored as it is, and an unshifted Cholesky solve, being backward stable,
+is used without refinement. A block whose factorization fails, or has a
+pivot below 1e-10 of its diagonal entry (a repeated row makes one), is
+factored again shifted by delta = 1e-9, and only then are its solves refined
+against the block itself. A singular P, or a block whose shifted
+factorization fails too, takes a regularized KKT solve instead.
 
 Construction reads P in one finiteness check and one exact-symmetry check,
 keeps an exactly symmetric P as given (a nearly symmetric one costs one
 n x n copy for its symmetric part), and then does one Cholesky factorization
 (dpotrf), one triangular solve with the rows as right-hand sides (dtrsm)
 and one symmetric product X'X. The factor U is the only n x n array of
-floats it makes; X and the map of bound multipliers are n x rows.
+floats it makes; X is n x rows, and the stacked rows [A_eq; A_in] are the
+solver's one copy of the constraint matrices.
 
-With P > 0 a solve reads the n x n data in three level-2 BLAS passes and
-copies nothing of that size: w = U^-T q and z = -U^-1 (w + X_e nu0 + X_W y)
-are the two triangular solves on the cached factor, and the certifier's P z
-is one symmetric product, which also gives the objective. The rest of the
-solve works on the n x rows maps and the small blocks.
+With P > 0 a solve copies no n-column array and reads each at most twice.
+The n x n data takes three level-2 BLAS passes: w = U^-T q and
+z = -U^-1 (w + X [nu; y]) are the two triangular solves on the cached
+factor, and the certifier's P z is one symmetric product, which also gives
+the objective. X takes two products, X'w and X [nu; y]; the stacked rows
+take one for A z, and A_eq and A_in one each for the certifier's gradient.
+The rest of the solve works on the small blocks.
 
 The working set of the last certified solve seeds the next solve, shifted
 forward by seed_shift rows, and sweeps from there ("warm"): each sweep holds
@@ -83,19 +93,25 @@ def _vec(x, n, name):
     return arr
 
 
-def _rows(A, n, name):
-    """A read-only, finite (rows, n) copy of a constraint matrix, or None.
+def _stacked_rows(A_eq, A_in, n):
+    """([A_eq; A_in], n_e, n_i): one read-only, finite C-ordered copy.
 
-    A copy, so that freezing it leaves the caller's array writable.
+    A missing block (None) has no rows. A copy, so that freezing it leaves
+    the caller's arrays writable.
     """
-    if A is None:
-        return None
-    A = np.array(A, dtype=float, order="C")
-    if A.ndim != 2 or A.shape[1] != n:
-        raise ValueError(f"{name} must be (rows, {n}), got {A.shape}")
-    _finite(A, name)
-    A.flags.writeable = False
-    return A
+    parts, counts = [], []
+    for name, A in (("A_eq", A_eq), ("A_in", A_in)):
+        if A is None:
+            counts.append(0)
+            continue
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[1] != n:
+            raise ValueError(f"{name} must be (rows, {n}), got {A.shape}")
+        parts.append(_finite(A, name))
+        counts.append(A.shape[0])
+    rows = np.vstack(parts) if parts else np.zeros((0, n))
+    rows.flags.writeable = False
+    return rows, *counts
 
 
 def _symmetric(P):
@@ -119,23 +135,38 @@ def _symmetric(P):
 
 
 def _spd_factor(S):
-    """Cholesky factor of S + delta I for a PSD block S, or None on failure.
+    """Cholesky factor of a PSD block S as (factor, shifted), or None on failure.
 
-    LAPACK directly: a sweep's blocks are small, so call overhead counts.
+    S itself is factored first. A factorization that fails, or that has a
+    pivot below _DEPENDENT of its diagonal entry (S is singular to working
+    precision: a repeated row, say), is redone on S + delta I, and only
+    such a shifted factor is refined in _spd_solve. LAPACK directly: a
+    sweep's blocks are small, so call overhead counts.
     """
     if not len(S):
-        return S
+        return S, False
+    cS, info = dpotrf(S, clean=False)
+    if not info:
+        d = cS.diagonal()
+        if (d * d > _DEPENDENT * S.diagonal()).all():
+            return cS, False
     cS, info = dpotrf(S + _DELTA * np.eye(len(S)), clean=False)
-    return None if info else cS
+    return None if info else (cS, True)
 
 
-def _spd_solve(S, cS, rhs):
-    """S x = rhs from the factor of S + delta I, refined against S itself."""
+def _spd_solve(S, factor, rhs):
+    """S x = rhs from _spd_factor's result.
+
+    An unshifted Cholesky solve is backward stable and is used as it is; the
+    factor of S + delta I is refined against S itself.
+    """
     if not len(S):
         return np.zeros(rhs.shape)
+    cS, shifted = factor
     x = dpotrs(cS, rhs)[0]
-    for _ in range(3):
-        x = x + dpotrs(cS, rhs - S @ x)[0]
+    if shifted:
+        for _ in range(3):
+            x = x + dpotrs(cS, rhs - S @ x)[0]
     return x
 
 
@@ -175,6 +206,25 @@ def _amax(x):
     return abs(x).max(initial=0.0)
 
 
+def _bound_mag(lower, upper):
+    """The largest finite |bound|, the certifier's bound scale (0 without one).
+
+    Also the bounds' entry check: one pass per side when every bound is
+    finite, and a ValueError for a NaN, a lower bound of +inf or an upper
+    bound of -inf.
+    """
+    mag_l, mag_u = abs(lower).max(initial=0.0), abs(upper).max(initial=0.0)
+    if mag_l < np.inf and mag_u < np.inf:
+        return max(mag_l, mag_u)
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("bounds must not contain NaN")
+    if not ((lower < np.inf).all() and (upper > -np.inf).all()):
+        raise ValueError("no row can meet a lower bound of +inf or an "
+                         "upper bound of -inf")
+    return max(abs(lower).max(initial=0.0, where=lower > -np.inf),
+               abs(upper).max(initial=0.0, where=upper < np.inf))
+
+
 def _finite(x, name):
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite")
@@ -204,36 +254,35 @@ class QpSolver:
         # C-ordered, so that self.P.T is an F-ordered view BLAS reads in place
         self.P = _symmetric(_finite(P, "P"))
         self.n = P.shape[0]
-        self.A_eq = _rows(A_eq, self.n, "A_eq")
-        self.A_in = _rows(A_in, self.n, "A_in")
-        self.n_e = 0 if self.A_eq is None else self.A_eq.shape[0]
-        self.n_i = 0 if self.A_in is None else self.A_in.shape[0]
-        A_i = self.A_in if self.n_i else np.zeros((0, self.n))
+        # [A_eq; A_in] is the solver's one copy of the constraint rows: the
+        # certifier reads A z off it in one product, and A_eq and A_in are
+        # views of it (None without such rows)
+        self._rows, self.n_e, self.n_i = _stacked_rows(A_eq, A_in, self.n)
+        self.A_eq = self._rows[: self.n_e] if self.n_e else None
+        self.A_in = self._rows[self.n_e :] if self.n_i else None
 
         # the equality rows the active-set solve works with: A_eq itself, or
         # W_r' A_eq when A_eq has dependent rows, with W_r an orthonormal
         # basis of range(A_eq). The basis and the largest singular value are
         # kept only then: otherwise every b_eq is consistent.
         self._eq_range = None
-        A_e = np.zeros((0, self.n))
+        self._rows_kkt = self._rows
         if self.n_e:
             W, s = left_singular(self.A_eq)
             rank = singular_value_rank(s, self.A_eq.shape)
-            A_e = self.A_eq
             if rank < self.n_e:
                 self._eq_range = (W[:, :rank], s[0])
-                A_e = W[:, :rank].T @ self.A_eq
-        self._rows_kkt = np.vstack([A_e, A_i])
-        self._n_e_solve = A_e.shape[0]
+                self._rows_kkt = np.vstack([W[:, :rank].T @ self.A_eq,
+                                            self._rows[self.n_e :]])
+        self._n_e_solve = self._rows_kkt.shape[0] - self.n_i
 
         # Schur complement of the bound rows in the Gram matrix A P^-1 A',
         # in whitened coordinates: with P = U'U and X = U^-T A', the Gram
-        # matrix is S = X'X. T = S_ee^-1 S_ei, C = S_ii - S_ie T, and
-        # X_W = X_i - X_e T maps bound multipliers to U z. Needs P > 0 and
-        # S_ee > 0; otherwise every sweep takes the KKT solve and there is no
-        # dual solve. U is F-ordered
-        # (dpotrf reads the F-ordered view P.T, equal to P) and only its upper
-        # triangle is ever read, so it is not cleaned.
+        # matrix is S = X'X. T = S_ee^-1 S_ei and C = S_ii - S_ie T. Needs
+        # P > 0 and S_ee > 0; otherwise every sweep takes the KKT solve and
+        # there is no dual solve. U is F-ordered (dpotrf reads the F-ordered
+        # view P.T, equal to P) and only its upper triangle is ever read, so
+        # it is not cleaned.
         self._C = None
         U, info = dpotrf(self.P.T, lower=0, clean=0)
         if not info:
@@ -251,8 +300,6 @@ class QpSolver:
                 self._C = 0.5 * (C + C.T)
                 self._U = U
                 self._X = X
-                self._X_e = X[:, :k]
-                self._X_W = X[:, k:] - self._X_e @ T
                 self._pivot_min = _DEPENDENT * np.diag(S_ii)
 
         # the working set (rows held at lower, rows held at upper) of the
@@ -261,11 +308,13 @@ class QpSolver:
 
     # ---------------- residual bookkeeping ----------------
 
-    def _kkt_residual(self, z, nu, y, q, b_eq, lower, upper):
+    def _kkt_residual(self, z, nu, y, q, b_eq, lower, upper, bound_mag):
         """(KKT residual, its feasibility part, objective) at z.
 
-        Residuals are relative with floor 1. P z is one dsymv on the
-        F-ordered view of the symmetric P, and it gives the objective too.
+        Residuals are relative with floor 1; bound_mag is the largest finite
+        |bound| (_bound_mag). P z is one dsymv on the F-ordered view of the
+        symmetric P, and it gives the objective too; A z is one product with
+        the stacked rows.
         """
         Pz = dsymv(1.0, self.P.T, z)
         grad = Pz + q
@@ -280,34 +329,32 @@ class QpSolver:
             terms.append(_amax(Ai_y))
         r_stat = _amax(grad) / max(1.0, *terms)
 
+        Az = self._rows @ z
         r_eq = 0.0
         if self.n_e:
-            Az = self.A_eq @ z
-            r_eq = _amax(Az - b_eq) / max(1.0, _amax(Az), _amax(b_eq))
+            Ae_z = Az[: self.n_e]
+            r_eq = _amax(Ae_z - b_eq) / max(1.0, _amax(Ae_z), _amax(b_eq))
 
         r_box = 0.0
         r_comp = 0.0
         if self.n_i:
-            Az = self.A_in @ z
-            az = _amax(Az)
-            fin_l, fin_u = np.isfinite(lower), np.isfinite(upper)
-            # no bound is +inf below or -inf above, so viol is finite
-            viol = np.maximum(np.maximum(lower - Az, Az - upper), 0.0)
-            bound_mag = max(abs(lower).max(initial=0.0, where=fin_l),
-                            abs(upper).max(initial=0.0, where=fin_u))
-            r_box = viol.max(initial=0.0) / max(1.0, az, bound_mag)
+            Ai_z = Az[self.n_e :]
+            az = _amax(Ai_z)
+            # no bound is +inf below or -inf above: a gap is finite or +inf
+            gap_u = upper - Ai_z
+            gap_l = Ai_z - lower
+            r_box = max(0.0, -gap_u.min(), -gap_l.min()) / max(1.0, az, bound_mag)
 
             # complementarity: positive multiplier needs the upper gap closed,
             # negative the lower gap; min(|y|, gap) vanishes iff one of them does
-            gap_u = np.where(fin_u, np.maximum(upper - Az, 0.0), np.inf)
-            gap_l = np.where(fin_l, np.maximum(Az - lower, 0.0), np.inf)
-            comp = np.where(y > 0, np.minimum(y, gap_u),
-                            np.where(y < 0, np.minimum(-y, gap_l), 0.0))
-            r_comp = comp.max(initial=0.0) / max(1.0, _amax(y), az)
+            gap = np.maximum(np.where(y > 0, gap_u, gap_l), 0.0)
+            abs_y = abs(y)
+            comp = np.minimum(abs_y, gap)
+            r_comp = comp.max(initial=0.0) / max(1.0, abs_y.max(initial=0.0), az)
 
         kkt = max(r_stat, r_eq, r_box, r_comp)
         feas = max(r_eq, r_box)
-        return kkt, feas, float(0.5 * z @ Pz + q @ z)
+        return kkt, feas, float(0.5 * (z @ Pz) + q @ z)
 
     def _eq_consistent(self, b_eq):
         """Whether b_eq lies in range(A_eq), at the tolerance of matrix_rank."""
@@ -324,7 +371,7 @@ class QpSolver:
     def _shifted(self, working_set):
         """A working set moved forward by seed_shift rows, the last rows repeated."""
         s = self.seed_shift
-        return tuple(np.concatenate([w[s:], w[-s:]]) for w in working_set)
+        return np.concatenate([working_set[:, s:], working_set[:, -s:]], axis=1)
 
     def _seed(self):
         """The working set the next solve starts from, or None.
@@ -332,22 +379,24 @@ class QpSolver:
         The last certified set, moved forward by seed_shift rows unless the
         step before matched it better unmoved: a plan that stands still over
         the horizon (a saturated steady state, say) keeps its set as it is.
+        A working set is one (2, n_i) boolean array: the rows held at their
+        lower bound over those held at their upper bound.
         """
         current, previous = self._working_set, self._previous_set
         if current is None or not self.seed_shift:
             return current
         if previous is not None:
-            def misses(seed):
-                return sum(np.count_nonzero(a != b) for a, b in zip(seed, current))
-            if misses(self._shifted(previous)) >= misses(previous):
+            if (np.count_nonzero(self._shifted(previous) != current)
+                    >= np.count_nonzero(previous != current)):
                 return current
         return self._shifted(current)
 
     def _reduced(self, q, b_e):
         """(w, nu0, r) on the Schur complement, or Nones for a singular P.
 
-        w = U^-T q, so that A P^-1 q = X'w; nu0 are the equality multipliers
-        with no bound row held, and r = A_in z at them. With y the bound
+        w = U^-T q, so that A P^-1 q = X'w, one product over X; nu0 are the
+        equality multipliers with no bound row held, from the factor of S_ee
+        made at construction, and r = A_in z at them. With y the bound
         multipliers, A_in z = r - C y. The solve for w and the one for z in
         _primal are the two triangular solves on the cached upper factor
         (P = U'U), each reading its triangle in place from the F-ordered
@@ -378,18 +427,18 @@ class QpSolver:
             y[act] = _spd_solve(C_aa, cC, r[act] - h)
             return y, r - C @ y, None
         z, nu, y[act] = self._kkt_solve(q, b_e, act, h)
-        return y, self._rows_kkt[self._n_e_solve:] @ z, (z, nu)
+        return y, self._rows[self.n_e :] @ z, (z, nu)
 
     def _primal(self, w, nu0, y, kkt):
         """(z, nu) for the bound multipliers y, or None if not finite.
 
         kkt is what _hold returned; without it z and nu come from the Schur
-        complement.
+        complement: nu = nu0 - T y and z = -P^-1 (q + A_e' nu + A_i' y), which
+        is -U^-1 (w + X [nu; y]), one product and one triangular solve.
         """
         if kkt is None:
             nu = nu0 - self._T @ y
-            # z = -P^-1 (q + A_e' nu0 + (A_i - T' A_e)' y)
-            z = -dtrsv(self._U, w + self._X_e @ nu0 + self._X_W @ y, overwrite_x=1)
+            z = -dtrsv(self._U, w + self._X @ np.concatenate([nu, y]), overwrite_x=1)
         else:
             z, nu = kkt
         if not (np.isfinite(z).all() and np.isfinite(nu).all()):
@@ -420,7 +469,7 @@ class QpSolver:
         w, nu0, r = self._reduced(q, b_e)
         seen = {low.tobytes() + up.tobytes()}
         for sweep in range(1, max_sweeps + 1):
-            act = np.concatenate([np.flatnonzero(low), np.flatnonzero(up)])
+            act = (low | up).nonzero()[0]
             y, Az, kkt = self._hold(q, b_e, r, act, np.where(low, lower, upper)[act])
             if not np.isfinite(y).all():
                 return None, sweep
@@ -428,8 +477,8 @@ class QpSolver:
             scale = max(1.0, float(_amax(Az)))
             tol = 1e-11 * scale
             # a low-pinned row wants y <= 0, an up-pinned row y >= 0
-            new_low = (low & ~((y > tol) & ~pinned)) | (Az < lower - tol)
-            new_up = ((up & ~(y < -tol)) | (Az > upper + tol)) & ~new_low
+            new_low = (low & ((y <= tol) | pinned)) | (Az < lower - tol)
+            new_up = ((up & (y >= -tol)) | (Az > upper + tol)) & ~new_low
             key = new_low.tobytes() + new_up.tobytes()
             if sweep == max_sweeps or key in seen:
                 break
@@ -578,31 +627,27 @@ class QpSolver:
         if self.n_i:
             lower = np.full(self.n_i, -np.inf) if lower is None else _vec(lower, self.n_i, "lower")
             upper = np.full(self.n_i, np.inf) if upper is None else _vec(upper, self.n_i, "upper")
-            # one pass per side for NaN and for a bound no row can meet
-            if not ((lower < np.inf).all() and (upper > -np.inf).all()):
-                if np.isnan(lower).any() or np.isnan(upper).any():
-                    raise ValueError("bounds must not contain NaN")
-                raise ValueError("no row can meet a lower bound of +inf or an "
-                                 "upper bound of -inf")
+            bound_mag = _bound_mag(lower, upper)
             if (lower > upper).any():
                 raise ValueError("lower must be <= upper elementwise")
         elif any(b is not None and len(np.atleast_1d(b)) for b in (lower, upper)):
             raise ValueError("lower/upper given but solver has no inequality rows")
         else:
             lower = upper = np.zeros(0)
+            bound_mag = 0.0
 
         sweeps = 0
 
         def check(result):
             """(KKT residual, objective, whether the result certifies)."""
             kkt, feas, objective = self._kkt_residual(*result[:3], q, b_eq,
-                                                      lower, upper)
+                                                      lower, upper, bound_mag)
             return kkt, objective, kkt <= tol_kkt and feas <= tol_feas
 
         def finish(result, kkt, objective, certified, path, failure, iterations=0):
             z, nu, y, low, up = result
             # only a certified result seeds the next solve
-            working_set = (low, up) if certified else None
+            working_set = np.array([low, up]) if certified else None
             self._previous_set = None if working_set is None else self._working_set
             self._working_set = working_set
             return QpSolution(

@@ -5,7 +5,9 @@ oracle condenses the horizon problem onto the input sequence and solves it
 with scipy's bounded least squares, and the rollout helpers step the state
 equations directly. The soft-arm reference steps one control period at a
 time on numpy 3-vectors, with its own least-squares bending inverse; it
-shares only the forward tip map with the package.
+shares only the forward tip map with the package. The KKT-residual
+reference is the solver certifier's definition written out densely, one
+array operation per term.
 """
 
 import numpy as np
@@ -137,3 +139,56 @@ def arm_step_reference(lag_lengths, u, dt, geom, tau, disturbances, rng):
     if disturbances.noise_std > 0.0:
         tip = tip + rng.normal(0.0, disturbances.noise_std, size=3)
     return l_new, phi, gamma, tip
+
+
+def kkt_residual_reference(P, A_eq, A_in, z, nu, y, q, b_eq, lower, upper):
+    """(KKT residual, its feasibility part, objective) of a QP point, densely.
+
+    The certifier's definition, kept as a reference formula: stationarity,
+    equality, box and complementarity residuals, each unscaled and relative
+    with a floor of 1 in the denominator. A_eq or A_in may be None.
+    """
+    def _amax(x):
+        return abs(x).max(initial=0.0)
+
+    Pz = P @ z
+    grad = Pz + q
+    terms = [_amax(Pz), _amax(q)]
+    if A_eq is not None:
+        Ae_nu = A_eq.T @ nu
+        grad += Ae_nu
+        terms.append(_amax(Ae_nu))
+    if A_in is not None:
+        Ai_y = A_in.T @ y
+        grad += Ai_y
+        terms.append(_amax(Ai_y))
+    r_stat = _amax(grad) / max(1.0, *terms)
+
+    r_eq = 0.0
+    if A_eq is not None:
+        Az = A_eq @ z
+        r_eq = _amax(Az - b_eq) / max(1.0, _amax(Az), _amax(b_eq))
+
+    r_box = 0.0
+    r_comp = 0.0
+    if A_in is not None:
+        Az = A_in @ z
+        az = _amax(Az)
+        fin_l, fin_u = np.isfinite(lower), np.isfinite(upper)
+        # no bound is +inf below or -inf above, so viol is finite
+        viol = np.maximum(np.maximum(lower - Az, Az - upper), 0.0)
+        bound_mag = max(abs(lower).max(initial=0.0, where=fin_l),
+                        abs(upper).max(initial=0.0, where=fin_u))
+        r_box = viol.max(initial=0.0) / max(1.0, az, bound_mag)
+
+        # complementarity: positive multiplier needs the upper gap closed,
+        # negative the lower gap; min(|y|, gap) vanishes iff one of them does
+        gap_u = np.where(fin_u, np.maximum(upper - Az, 0.0), np.inf)
+        gap_l = np.where(fin_l, np.maximum(Az - lower, 0.0), np.inf)
+        comp = np.where(y > 0, np.minimum(y, gap_u),
+                        np.where(y < 0, np.minimum(-y, gap_l), 0.0))
+        r_comp = comp.max(initial=0.0) / max(1.0, _amax(y), az)
+
+    kkt = max(r_stat, r_eq, r_box, r_comp)
+    feas = max(r_eq, r_box)
+    return kkt, feas, float(0.5 * z @ Pz + q @ z)

@@ -1,5 +1,6 @@
 """Tests for the data-driven predictive controller."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +14,11 @@ from softdeepc.controller import (
     assemble,
     step,
 )
+from softdeepc.config import ExperimentConfig
+from softdeepc.experiments import build_controller, collect_dataset
 from softdeepc.hankel import build_hankel, numerical_rank, partition_past_future
 from softdeepc.plants import LtiPlant
-from softdeepc.reduction import factorize_and_condense
+from softdeepc.reduction import condense_lossless, factorize_and_condense
 
 
 def make_partition(u, y, t_ini, horizon):
@@ -71,6 +74,21 @@ class TestConfig:
     def test_solver_settings_validated(self, field, value, error):
         with pytest.raises(error):
             DeePCConfig(t_ini=2, horizon=2, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("Q", math.nan), ("Q", [[1.0, 0.0], [0.0, math.nan]]), ("R", math.nan),
+        ("R", np.diag([1.0, math.nan, 1.0])), ("lambda_g", math.nan),
+        ("lambda_y", math.nan), ("u_lower", math.nan), ("u_upper", math.nan),
+        ("u_upper", [90.0, math.nan, 90.0])])
+    def test_nan_settings_rejected(self, field, value):
+        # a NaN weight used to drop out of the QP (R with m = 1), reach
+        # numpy's eigensolver (R with m = 3), or fail only at the first solve
+        with pytest.raises(ValueError, match=field):
+            DeePCConfig(t_ini=2, horizon=2, **{field: value})
+
+    def test_infinite_lambda_y_stays_legal(self):
+        cfg = DeePCConfig(t_ini=2, horizon=2, lambda_g=1.0, lambda_y=math.inf)
+        assert math.isinf(cfg.lambda_y)
 
 
 class TestHistoryBuffer:
@@ -129,14 +147,29 @@ class TestAssemble:
         with pytest.raises(ValueError, match="lambda_g"):
             assemble(cfg, cond)
 
-    def test_cost_blocks_repeat_per_step(self):
+    def test_cost_blocks_repeat_per_step(self, monkeypatch):
+        # the template keeps the per-step weight Q; the step's linear cost
+        # applies it to each step's rows of Yf, as the dense kron(I_N, Q) does
         _, part = self.setup_data()
         cfg = DeePCConfig(t_ini=4, horizon=6, Q=10.0, R=2e-3, lambda_g=300.0,
                           lambda_y=1000.0)
         tpl = assemble(cfg, part)
         p = part.output_dim
-        np.testing.assert_array_equal(tpl.Qt, np.kron(np.eye(6), 10.0 * np.eye(p)))
-        np.testing.assert_array_equal(tpl.Rt, np.kron(np.eye(6), 2e-3 * np.eye(2)))
+        np.testing.assert_array_equal(tpl.Q, 10.0 * np.eye(p))
+        costs = []
+        solve = tpl.solver.solve
+        monkeypatch.setattr(tpl.solver, "solve",
+                            lambda q, *args, **kw: costs.append(q) or solve(q, *args, **kw))
+        rng = np.random.default_rng(5)
+        hist = tpl.make_history()
+        for _ in range(4):
+            hist.push(rng.standard_normal(2), rng.standard_normal(p))
+        refs = rng.standard_normal((6, p))
+        step(tpl, hist, refs)
+        Qt = np.kron(np.eye(6), 10.0 * np.eye(p))
+        expected = -2.0 * (part.Yf.T @ Qt @ refs.reshape(-1) + 1000.0 * part.Yp.T @ hist.y_ini)
+        np.testing.assert_allclose(costs[0], expected, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(expected)))
 
     def test_quadratic_term_formula(self):
         # (Q, R, lambda_y, the PSD weight the dense formula uses for Q); p = m = 2
@@ -437,3 +470,95 @@ class TestClosedLoop(ScenarioMixin):
         ctrl.prime(np.zeros((tpl.config.t_ini, 1)),
                    np.zeros((tpl.config.t_ini, 1)))
         assert ctrl.history.full
+
+
+class TestStepObjective:
+    """The step's objective, the QP objective plus the cost terms free of g,
+    against the dense cost recomputed from g.
+
+    The constant terms y_ref' Qt y_ref and lambda_y ||y_ini||^2 can be much
+    larger than the cost (1.6e8 against 49 on the soft arm with a slack),
+    and the QP objective then nearly cancels them.
+    """
+
+    Q_MATRIX = np.array([[12.0, 2.0, 0.5], [2.0, 8.0, -1.0], [0.5, -1.0, 10.0]])
+    R_MATRIX = np.array([[3e-3, 1e-3, 0.0], [1e-3, 2e-3, 0.0], [0.0, 0.0, 1e-3]])
+
+    @staticmethod
+    def dense_cost(tpl, data, g, refs, y_ini):
+        cfg = tpl.config
+        N = cfg.horizon
+
+        def per_step(value, dim):
+            w = np.asarray(value, dtype=float)
+            return np.kron(np.eye(N), w * np.eye(dim) if w.ndim == 0 else w)
+
+        Qt, Rt = per_step(cfg.Q, data.output_dim), per_step(cfg.R, data.input_dim)
+        u, dy = data.Uf @ g, data.Yf @ g - refs.reshape(-1)
+        cost = dy @ Qt @ dy + u @ Rt @ u + cfg.lambda_g * (g @ g)
+        constant = refs.reshape(-1) @ Qt @ refs.reshape(-1)
+        if not math.isinf(cfg.lambda_y):
+            sigma = data.Yp @ g - y_ini
+            cost += cfg.lambda_y * (sigma @ sigma)
+            constant += cfg.lambda_y * (y_ini @ y_ini)
+        return cost, constant
+
+    def check(self, tpl, data, history, refs):
+        res = step(tpl, history, refs)
+        assert res.solver_status == "optimal"
+        cost, constant = self.dense_cost(tpl, data, res.decision_vector, refs,
+                                         history.y_ini)
+        # relative to the cost itself, and to the terms it is the difference of
+        # the error is round-off in the terms the QP objective cancels, so
+        # it is bounded against them; against the cost alone the soft-arm
+        # cases with a slack lose about seven digits (1.4e-9 seen)
+        error = abs(res.objective - cost)
+        assert error <= 1e-13 * (abs(cost) + constant)
+        assert error <= 1e-8 * abs(cost)
+        return res
+
+    @pytest.mark.parametrize("weights", ["scalar", "matrix"])
+    @pytest.mark.parametrize("lambda_y", [1e4, math.inf])
+    def test_lti_fixture(self, weights, lambda_y):
+        rng = np.random.default_rng(41)
+        A, B, C, D = random_minimal_lti(rng, 4, 3, 3)
+        u_d, y_d = collect_lti_dataset(A, B, C, D, rng, 200)
+        data = make_partition(u_d, y_d, 4, 8)
+        Q, R = (2.0, 0.1) if weights == "scalar" else (self.Q_MATRIX, self.R_MATRIX)
+        tpl = assemble(DeePCConfig(t_ini=4, horizon=8, Q=Q, R=R, lambda_g=1.0,
+                                   lambda_y=lambda_y, u_lower=-1.0, u_upper=1.0), data)
+        history = tpl.make_history()
+        u_hist = rng.standard_normal((4, 3))
+        y_hist, _ = rollout(A, B, C, D, u_hist, x0=rng.standard_normal(4))
+        for u, y in zip(u_hist, y_hist):
+            history.push(u, y)
+        # an offset reference makes the constant term large against the cost
+        for offset in (0.0, 30.0):
+            self.check(tpl, data, history, offset + rng.standard_normal((8, 3)))
+
+    @pytest.fixture(scope="class")
+    def soft_arm(self):
+        cfg = ExperimentConfig()
+        dataset = collect_dataset(cfg, seed=0)
+        depth = cfg.t_ini + cfg.horizon
+        data = condense_lossless(partition_past_future(
+            build_hankel(dataset.inputs, depth), build_hankel(dataset.outputs, depth),
+            cfg.t_ini, cfg.horizon))
+        return dataset, build_controller(cfg, dataset).template.config, data
+
+    @pytest.mark.parametrize("weights", ["scalar", "matrix"])
+    @pytest.mark.parametrize("lambda_y", ["default", math.inf])
+    def test_soft_arm_controller(self, soft_arm, weights, lambda_y):
+        dataset, shipped, data = soft_arm
+        changes = {} if lambda_y == "default" else {"lambda_y": lambda_y}
+        if weights == "matrix":
+            changes.update(Q=self.Q_MATRIX, R=self.R_MATRIX)
+        tpl = assemble(dataclasses.replace(shipped, **changes), data)
+        t_ini, N = shipped.t_ini, shipped.horizon
+        for start in (100, 700):
+            history = tpl.make_history()
+            for k in range(start, start + t_ini):
+                history.push(dataset.inputs[k], dataset.outputs[k])
+            # hold the output 40 steps ahead in the record: a reachable target
+            refs = np.tile(dataset.outputs[start + t_ini + 40], (N, 1))
+            self.check(tpl, data, history, refs)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import collect_lti_dataset, random_minimal_lti
+from oracles import collect_lti_dataset, kkt_residual_reference, random_minimal_lti
 
 from softdeepc import controller, experiments, qp
 from softdeepc.config import ExperimentConfig
@@ -648,6 +648,37 @@ class TestSchurSweep:
         TestWarmPath.oracle_check(sol, prob.P, prob.q, prob.A_eq, prob.b_eq,
                                   prob.A_in, prob.lower, prob.upper)
 
+    @pytest.mark.parametrize("seed", [85, 90, 93])
+    def test_repeated_row_block_gets_a_shifted_refined_factor(self, monkeypatch, seed):
+        # bound row 6 repeats row 0: a sweep that adds both holds a block of
+        # C that is only semidefinite, and its factor must be the shifted one
+        rng = np.random.default_rng(seed)
+        n = 6
+        M = rng.standard_normal((n, n))
+        P = M @ M.T + n * np.eye(n)
+        A_eq, b_eq = rng.standard_normal((1, n)), np.zeros(1)
+        A_in = np.vstack([np.eye(n), np.eye(n)[:1]])
+        lower, upper = -np.ones(n + 1), np.ones(n + 1)
+        solver = QpSolver(P, A_eq, A_in)
+        assert solver.solve(np.zeros(n), b_eq, lower, upper).path == "cold"
+        factor = qp._spd_factor
+        factors = []
+
+        def factor_spy(S):
+            result = factor(S)
+            factors.append((S.copy(), result))
+            return result
+
+        monkeypatch.setattr(qp, "_spd_factor", factor_spy)
+        # pushes z_0 past its upper bound, so both copies of row 0 enter at once
+        q = -P @ np.array([3.0, 0.2, -0.1, 0.0, 0.1, -0.2])
+        sol = solver.solve(q, b_eq, lower, upper)
+        assert (sol.status, sol.path) == ("optimal", "warm")
+        singular = [result for S, result in factors
+                    if len(S) == 2 and np.array_equal(S[0], S[1])]
+        assert singular and all(result is not None and result[1] for result in singular)
+        TestWarmPath.oracle_check(sol, P, q, A_eq, b_eq, A_in[:n], lower[:n], upper[:n])
+
     @pytest.mark.parametrize("seed", [0, 16, 24, 33, 50, 55, 56])
     def test_first_solves_where_the_batch_sweep_cycles(self, seed):
         # from the empty set, the sweep that adds every violated row and
@@ -681,6 +712,74 @@ class TestSchurSweep:
                                            upper[:n])
         np.testing.assert_allclose(sol.z_star, z_ref, atol=1e-6)
         assert sol.objective == pytest.approx(obj_ref, abs=1e-8)
+
+
+class TestCertifier:
+    """The solver's KKT residual against the dense reference formula."""
+
+    @staticmethod
+    def instance(rng, n_e, n_i, variant):
+        """A QP and a point (z, nu, y) that need not be optimal.
+
+        Bound rows come in kinds: pinned, two-sided, lower only, upper only,
+        free, and violated; multipliers are positive, negative or zero.
+        "stationary" sets q so that the gradient vanishes, so that the
+        equality or box term decides the residual. "feasible" also meets the
+        equalities, puts every row inside its bounds and holds a free row's
+        multiplier away from zero, so that complementarity decides it.
+        """
+        n = 12
+        M = rng.standard_normal((n, n))
+        P = M @ M.T + n * np.eye(n)
+        A_eq = rng.standard_normal((n_e, n)) if n_e else None
+        A_in = rng.standard_normal((n_i, n)) if n_i else None
+        z = rng.standard_normal(n)
+        nu = rng.standard_normal(n_e)
+        y = rng.standard_normal(n_i) * rng.choice([0.0, 1.0, 3.0], size=n_i)
+        q = rng.standard_normal(n)
+        b_eq = np.zeros(0) if A_eq is None else A_eq @ z + 0.1 * rng.standard_normal(n_e)
+        lower = upper = np.zeros(0)
+        if n_i:
+            Az = A_in @ z
+            width = rng.uniform(0.1, 1.0, size=n_i)
+            lower, upper = Az - width, Az + width
+            kinds = np.arange(n_i) % 6
+            lower[kinds == 0] = upper[kinds == 0] = Az[kinds == 0]   # pinned
+            upper[kinds == 2] = np.inf
+            lower[kinds == 3] = -np.inf
+            lower[kinds == 4], upper[kinds == 4] = -np.inf, np.inf
+            violated = kinds == 5
+            lower[violated] = Az[violated] + width[violated]
+            upper[violated] = Az[violated] + 2.0 * width[violated]
+            if variant == "feasible":
+                lower[violated] = Az[violated] - width[violated]
+                y[kinds == 4] = 2.0
+        if variant != "random":
+            q = -(P @ z)
+            if n_e:
+                q -= A_eq.T @ nu
+            if n_i:
+                q -= A_in.T @ y
+        if variant == "feasible" and n_e:
+            b_eq = A_eq @ z
+        return P, A_eq, A_in, z, nu, y, q, b_eq, lower, upper
+
+    @pytest.mark.parametrize("n_e, n_i, variant", [
+        (n_e, n_i, variant) for n_e, n_i in [(0, 12), (3, 12), (3, 0), (0, 7)]
+        for variant in ("random", "stationary", "feasible") if n_i or variant != "feasible"])
+    def test_matches_reference_formula(self, n_e, n_i, variant):
+        rng = np.random.default_rng(1000 + 10 * n_e + n_i)
+        for _ in range(20):
+            P, A_eq, A_in, z, nu, y, q, b_eq, lower, upper = self.instance(
+                rng, n_e, n_i, variant)
+            solver = QpSolver(P, A_eq, A_in)
+            got = solver._kkt_residual(z, nu, y, q, b_eq, lower, upper,
+                                       qp._bound_mag(lower, upper))
+            want = kkt_residual_reference(P, A_eq, A_in, z, nu, y, q, b_eq,
+                                          lower, upper)
+            # the residuals are relative, so a term that is zero in exact
+            # arithmetic reads at round-off level, about 1e-16: the floor
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
 
 
 class TestSeedShift:
