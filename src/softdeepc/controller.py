@@ -188,8 +188,9 @@ class DeePCTemplate:
     Immutable after construction. A step reads the data rows [Uf; Yp; Yf]
     twice, once transposed for the linear cost and once for the plan, and
     otherwise runs one QP solve, whose dense factorizations are cached
-    inside the bound QpSolver; the objective it reports is the solve's plus
-    the cost terms free of g, so no horizon-sized weight matrix is kept.
+    inside the bound QpSolver; the objective it reports is the cost
+    evaluated on the plan with the per-step Q and R, so no horizon-sized
+    weight matrix is kept.
     """
 
     def __init__(self, config: DeePCConfig, data: HankelPartition):
@@ -217,9 +218,9 @@ class DeePCTemplate:
         self.n_g = self.Up.shape[1]
 
         N, t_ini = config.horizon, config.t_ini
-        # the per-step output weight; the step's objective reads it
+        # the per-step weights; the step's objective reads them
         self.Q, Q_root = _weight_matrix(config.Q, self.p, "Q")
-        _, R_root = _weight_matrix(config.R, self.m, "R")
+        self.R, R_root = _weight_matrix(config.R, self.m, "R")
         self.hard_history = math.isinf(config.lambda_y)
 
         def per_step(root, block):
@@ -310,11 +311,14 @@ def step(template: DeePCTemplate, history: HistoryBuffer,
     sigma_y = plan[n_u : n_u + n_p] - y_ini
     y = plan[n_u + n_p :].reshape(N, p)
 
-    # the QP objective is the cost less its terms free of g: y_ref' Qt y_ref,
-    # and lambda_y ||y_ini||^2 with a slack
-    objective = sol.objective + float(refs @ Qt_ref)
+    # the cost on the plan, term by term: the QP objective plus its terms
+    # free of g would cancel digits, as y_ref' Qt y_ref and lambda_y ||y_ini||^2
+    # can be far larger than the cost
+    dy = y - refs.reshape(N, p)
+    objective = float(np.vdot(dy @ template.Q, dy) + np.vdot(u @ template.R, u)
+                      + cfg.lambda_g * (g @ g))
     if not template.hard_history:
-        objective += cfg.lambda_y * float(y_ini @ y_ini)
+        objective += cfg.lambda_y * float(sigma_y @ sigma_y)
 
     return DeePCStepResult(
         optimal_inputs=u, predicted_outputs=y, decision_vector=g,

@@ -15,7 +15,6 @@ import math
 import time
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .baseline import BaselineController, baseline_control
 from .config import ExperimentConfig
@@ -236,6 +235,25 @@ def build_controller(cfg: ExperimentConfig, dataset: TrajectoryDataset) -> DeePC
     return DeePCController(assemble(control_cfg, data))
 
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """A root of f in [lo, hi], where f changes sign, to adjacent floats.
+
+    Returns the end of the last bracket with the smaller |f|.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+
+
 def circle_bending(radius: float, L: float) -> float:
     """Bending angle whose tip circle has the given radius.
 
@@ -253,7 +271,7 @@ def circle_bending(radius: float, L: float) -> float:
 
     # peak of rho: phi cos(phi) + ... monotone rise ends at the root of
     # phi*sin(phi) - (1 - cos(phi)); bracket the peak conservatively
-    phi_peak = brentq(
+    phi_peak = _bisect(
         lambda t: t * math.sin(t) - (1.0 - math.cos(t)), 1.0, math.pi - 1e-9
     )
     reach = L * (1.0 - math.cos(phi_peak)) / phi_peak
@@ -262,7 +280,7 @@ def circle_bending(radius: float, L: float) -> float:
             f"circle radius {radius:.6g} mm exceeds the arm's radial reach "
             f"{reach:.6g} mm: unreachable"
         )
-    return float(brentq(rho, 1e-12, phi_peak))
+    return _bisect(rho, 1e-12, phi_peak)
 
 
 def circle_waypoints(

@@ -7,11 +7,23 @@ sample i sit in rows [i*d, (i+1)*d) of the column.
 HankelPartition is the one data-matrix type the controller consumes: the
 stacked [Up; Uf; Yp; Yf] rows, either raw (one column per data window) or
 condensed to r columns by the reduction module.
+
+The containers hold read-only arrays. An array a caller passes in is
+copied, so the caller's stays writable; one the package has just made
+(build_hankel's matrix, partition_past_future's stack, a condensed matrix)
+is taken as it is, so a stacked partition costs one copy of each Hankel
+and one of the stack.
+
+is_persistently_exciting certifies full row rank from the Gram matrix
+H H' (one symmetric product and one Cholesky factorization) and runs the
+SVD of H only when that certificate fails, so it returns what the SVD
+would on every input.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "TrajectoryDataset",
@@ -38,9 +50,25 @@ def _as_signal(signal) -> np.ndarray:
     return arr
 
 
+class _Made:
+    """An array the package has just made and keeps no other reference to."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _freeze(arr) -> np.ndarray:
-    """A read-only C-ordered float copy, so the caller's array stays writable."""
-    arr = np.array(arr, dtype=float, order="C")
+    """A read-only C-ordered float array.
+
+    A caller's array is copied, so it stays writable. One wrapped in _Made
+    is taken as it is, and copied only if it is not C-ordered float.
+    """
+    if isinstance(arr, _Made):
+        arr = np.ascontiguousarray(arr.array, dtype=float)
+    else:
+        arr = np.array(arr, dtype=float, order="C")
     arr.flags.writeable = False
     return arr
 
@@ -121,10 +149,11 @@ def build_hankel(signal, depth: int) -> BlockHankel:
     if depth > T:
         raise ValueError(f"depth {depth} exceeds signal length {T}")
     cols = T - depth + 1
-    # windows: (cols, depth, d); column j is arr[j:j+depth] raveled time-major
+    # windows[j, c, i] = arr[j + i, c]; row i*d + c of column j holds it, so
+    # one C-ordered copy of the (depth, d, cols) view is the matrix
     windows = np.lib.stride_tricks.sliding_window_view(arr, depth, axis=0)
-    matrix = windows.transpose(0, 2, 1).reshape(cols, depth * d).T
-    return BlockHankel(matrix=matrix, signal_dim=d, depth=depth)
+    matrix = np.array(windows.transpose(2, 1, 0), order="C").reshape(depth * d, cols)
+    return BlockHankel(matrix=_Made(matrix), signal_dim=d, depth=depth)
 
 
 def numerical_rank(matrix: np.ndarray) -> int:
@@ -140,15 +169,59 @@ def singular_value_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
     return int(np.count_nonzero(s > tol))
 
 
+# The Gram certificate shifts H H' by this share of its trace, or by 100x
+# the rounding bound of the shape where that is larger (_gram_certifies).
+_GRAM_SHIFT = 1e-8
+# Within this range of trace(H H') no product in H H' over- or underflows
+# by enough to matter against the shift, so the rounding bound holds.
+_GRAM_TRACE_RANGE = (1e-150, 1e150)
+
+
+def _gram_certifies(matrix: np.ndarray) -> bool:
+    """True only if numerical_rank(matrix) is its row count, by a wide margin.
+
+    G = H H' is one symmetric product, and the certificate is a Cholesky
+    factorization of G - delta I, delta = share * trace G. The rounding of G
+    and of that factorization is at most (K + n^2) eps trace G in the
+    2-norm for an n x K matrix, and share is at least 100x that, so success
+    gives s_min(H)^2 >= 0.99 delta >= 0.99 share s_max(H)^2. At share 1e-8
+    that puts s_min(H) above 0.99e-4 s_max(H), orders of magnitude above
+    numerical_rank's tolerance max(n, K) eps s_max(H). False says nothing:
+    the caller runs the SVD.
+    """
+    n, K = matrix.shape
+    # an overflow makes the trace non-finite, and the range check catches it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = matrix @ matrix.T
+    trace = float(np.trace(gram))
+    if not _GRAM_TRACE_RANGE[0] < trace < _GRAM_TRACE_RANGE[1]:
+        return False
+    share = max(_GRAM_SHIFT, 100.0 * (K + n * n) * np.finfo(float).eps)
+    gram[np.diag_indices(n)] -= share * trace
+    # gram is symmetric, so its transpose is the Fortran-ordered array that
+    # dpotrf factors in place
+    _, info = dpotrf(gram.T, lower=False, clean=False, overwrite_a=True)
+    return info == 0
+
+
 def is_persistently_exciting(inputs, order: int) -> tuple[bool, int]:
     """Check persistency of excitation of a given order.
 
     Returns (flag, rank) where flag is True iff the order-L Hankel matrix
-    of the input has full row rank m*L (rank computed numerically).
+    of the input has full row rank m*L, and rank is its numerical_rank.
+    The Gram certificate answers (True, m*L) without an SVD; the SVD runs
+    when it fails or the matrix has fewer columns than rows. Raises
+    ValueError on a non-finite sample.
     """
-    hankel = build_hankel(inputs, order)
-    rank = numerical_rank(hankel.matrix)
-    return rank == hankel.signal_dim * order, rank
+    signal = _as_signal(inputs)
+    if not np.isfinite(signal).all():
+        raise ValueError("input samples must be finite to check persistency of excitation")
+    matrix = build_hankel(signal, order).matrix
+    rows, cols = matrix.shape
+    if cols >= rows and _gram_certifies(matrix):
+        return True, rows
+    rank = numerical_rank(matrix)
+    return rank == rows, rank
 
 
 @dataclass(frozen=True)
@@ -242,7 +315,7 @@ def partition_past_future(Hu: BlockHankel, Hy: BlockHankel, t_ini: int, horizon:
             f"input Hankel has {Hu.columns} columns but output Hankel has {Hy.columns}"
         )
     return HankelPartition(
-        matrix=np.vstack([Hu.matrix, Hy.matrix]),
+        matrix=_Made(np.vstack([Hu.matrix, Hy.matrix])),
         input_dim=Hu.signal_dim,
         output_dim=Hy.signal_dim,
         t_ini=t_ini,

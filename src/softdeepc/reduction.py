@@ -6,8 +6,9 @@ stack @ V: the same row blocks over fewer columns. Raw and condensed data
 share one type, HankelPartition.
 
 condense_lossless takes V from the QR factorization stack' = Q R. Then
-stack @ Q = R', the triangle that qr(stack', mode="r") returns without
-forming Q (rows x rows for the usual wide stack), and range(Q) contains
+stack @ Q = R', the triangle that qr(stack', mode="raw") returns without
+forming Q (rows x rows for the usual wide stack; that mode triangularizes
+only the top rows of the factored array), and range(Q) contains
 range(stack'). The cost and every constraint read g only through stack @ g
 and ||g||^2, so with lambda_g > 0 the optimum lies in range(stack') and the
 condensed problem is the raw one
@@ -21,6 +22,9 @@ trajectory space only approximately when r is below the stack's rank.
 Only W and s are needed, so the right factor is never formed, and a wide
 stack (more columns than rows, the usual case) is reduced to the triangle
 R' of the same QR first: the SVD of R' has the same W and s.
+
+A condensed matrix is made here and handed to HankelPartition without a
+further copy.
 """
 
 import dataclasses
@@ -30,7 +34,7 @@ from scipy.linalg import qr
 
 # numerical_rank is not called here, but stays importable under this name:
 # the benchmark tracer wraps reduction.numerical_rank.
-from .hankel import HankelPartition, numerical_rank, singular_value_rank  # noqa: F401
+from .hankel import HankelPartition, _Made, numerical_rank, singular_value_rank  # noqa: F401
 
 __all__ = ["select_rank", "condense_lossless", "factorize_and_condense"]
 
@@ -40,8 +44,7 @@ def _qr_triangle(matrix: np.ndarray) -> np.ndarray:
 
     matrix = R' Q' with Q orthonormal. The matrix must be finite.
     """
-    k = min(matrix.shape)
-    return qr(matrix.T, mode="r", check_finite=False)[0][:k].T
+    return qr(matrix.T, mode="raw", check_finite=False)[1].T
 
 
 def left_singular(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,7 +87,7 @@ def condense_lossless(partition: HankelPartition) -> HankelPartition:
     no singular values. With lambda_g > 0 a controller on it solves the same
     problem as one on the raw partition.
     """
-    return dataclasses.replace(partition, matrix=_qr_triangle(partition.matrix),
+    return dataclasses.replace(partition, matrix=_Made(_qr_triangle(partition.matrix)),
                                condensed=True)
 
 
@@ -106,5 +109,5 @@ def factorize_and_condense(partition: HankelPartition, r: int | None = None,
     else:
         if not 1 <= r <= max_r:
             raise ValueError(f"r must lie in [1, {max_r}], got {r}")
-    return dataclasses.replace(partition, matrix=W[:, :r] * s[:r], singular_values=s,
-                               condensed=True)
+    return dataclasses.replace(partition, matrix=_Made(W[:, :r] * s[:r]),
+                               singular_values=s, condensed=True)

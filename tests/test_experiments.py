@@ -7,6 +7,10 @@ the full-size defaults are exercised by the acceptance suite.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +314,19 @@ class TestCircleGeometry:
             circle_waypoints(20.0, 0, 1, geometry)
         with pytest.raises(ValueError, match="laps"):
             circle_waypoints(20.0, 10, 0, geometry)
+
+
+class TestImportFootprint:
+    def test_package_import_leaves_out_scipy_optimize(self):
+        # circle_bending bisects on its own; scipy.optimize would pull in
+        # scipy's sparse, spatial and special modules on every import
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, softdeepc; "
+                "print([m for m in sys.modules if m.startswith('scipy.optimize')])")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+        assert run.stdout.strip() == "[]"
 
 
 class TestClosedLoopRuns:

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from softdeepc import hankel as hankel_module
+from softdeepc.config import ExperimentConfig
+from softdeepc.experiments import collect_dataset
 from softdeepc.hankel import (
     BlockHankel,
     HankelPartition,
@@ -175,6 +178,84 @@ class TestPersistencyOfExcitation:
         h = build_hankel(signal, depth=6)
         _, rank = is_persistently_exciting(signal, order=6)
         assert rank == np.linalg.matrix_rank(h.matrix)
+
+
+def svd_excitation_oracle(signal, order):
+    """(full row rank, rank) of the order-L Hankel matrix by a dense SVD."""
+    matrix = naive_hankel(signal, order)
+    rank = int(np.linalg.matrix_rank(matrix))
+    return rank == matrix.shape[0], rank
+
+
+class TestExcitationCertificate:
+    """Both paths of the PE check against the dense-SVD oracle.
+
+    The Gram certificate answers full row rank without an SVD; every other
+    answer comes from the SVD, counted through hankel.numerical_rank.
+    """
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        real = hankel_module.numerical_rank
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return real(matrix)
+
+        monkeypatch.setattr(hankel_module, "numerical_rank", counted)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def stage_dither(self):
+        cfg = ExperimentConfig()
+        return collect_dataset(cfg, seed=0).inputs, cfg.pe_order()
+
+    @staticmethod
+    def check(signal, order, svd_calls, exciting, svd_runs):
+        result = is_persistently_exciting(signal, order)
+        assert result == svd_excitation_oracle(signal, order)
+        assert result[0] is exciting
+        assert len(svd_calls) == svd_runs
+
+    def test_uniform_random_is_certified(self, svd_calls):
+        signal = np.random.default_rng(21).uniform(-1.0, 1.0, (600, 3))
+        self.check(signal, 40, svd_calls, exciting=True, svd_runs=0)
+
+    def test_shipped_stage_dither_is_certified(self, stage_dither, svd_calls):
+        inputs, order = stage_dither
+        self.check(inputs, order, svd_calls, exciting=True, svd_runs=0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9])
+    # at 1e160 the Gram matrix overflows, at 1e-160 its products underflow
+    @pytest.mark.parametrize("magnitude", [1.0, 1e160, 1e-160])
+    def test_duplicated_channel_takes_the_svd(self, svd_calls, scale, magnitude):
+        base = magnitude * np.random.default_rng(22).uniform(-1.0, 1.0, (600, 2))
+        signal = np.column_stack([base, scale * base[:, 1]])
+        self.check(signal, 40, svd_calls, exciting=False, svd_runs=1)
+
+    def test_full_rank_below_the_shift_takes_the_svd(self, svd_calls):
+        # s_min(H)^2 / trace(H H') is about 4e-15 here, far below the 1e-8
+        # shift, yet the SVD counts every row
+        rng = np.random.default_rng(23)
+        base = rng.uniform(-1.0, 1.0, (600, 2))
+        signal = np.column_stack([base, base[:, 1] + 1e-6 * rng.standard_normal(600)])
+        self.check(signal, 40, svd_calls, exciting=True, svd_runs=1)
+
+    def test_short_signal_takes_the_svd(self, svd_calls):
+        # 41 columns for 60 rows: never full row rank
+        signal = np.random.default_rng(24).uniform(-1.0, 1.0, (60, 3))
+        self.check(signal, 20, svd_calls, exciting=False, svd_runs=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, capfd, bad):
+        signal = np.random.default_rng(25).uniform(-1.0, 1.0, (600, 3))
+        signal[300, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            is_persistently_exciting(signal, 40)
+        # rejected before any LAPACK call could print its DLASCL errors
+        captured = capfd.readouterr()
+        assert captured.out == captured.err == ""
 
 
 class TestNumericalRank:
