@@ -43,9 +43,6 @@ class BaselineController:
         if not self.u_lower < self.u_upper:
             raise ValueError("u_lower must be < u_upper")
 
-    def command(self, target_tip) -> BaselineCommand:
-        return baseline_control(target_tip, self)
-
 
 def baseline_control(target_tip, ctrl: BaselineController) -> BaselineCommand:
     """Cable commands for a target tip position; open loop, no feedback.

@@ -15,6 +15,12 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .excitation import _KINDS
+
+# stage_dither dithers around the task's operating points; the plain kinds
+# span the amplitude range
+_EXCITATION_KINDS = ("stage_dither", *_KINDS)
+
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -41,9 +47,6 @@ class ExperimentConfig:
     use_reduction: bool = True
     reduction_energy: float = 0.999
     reduction_rank: int = -1  # -1 condenses without loss, 0 by the energy rule
-    tol_kkt: float = 1e-8
-    tol_feas: float = 1e-8
-    max_iter: int = 20000
 
     # arm geometry
     segment_length: float = 90.0
@@ -97,6 +100,14 @@ class ExperimentConfig:
             raise ValueError("dither_halfwidth must be positive")
         if self.dither_hold < 1:
             raise ValueError("dither_hold must be positive")
+        if self.excitation_kind not in _EXCITATION_KINDS:
+            raise ValueError(f"excitation_kind must be one of {_EXCITATION_KINDS}, "
+                             f"got {self.excitation_kind!r}")
+        if self.n_est < 0:
+            raise ValueError("n_est must be >= 0: the excitation order is at "
+                             "least t_ini + horizon")
+        if self.pe_retries < 0:
+            raise ValueError("pe_retries must be >= 0")
 
     def pe_order(self) -> int:
         """Excitation order the collected data must satisfy."""

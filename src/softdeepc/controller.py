@@ -16,13 +16,12 @@ condensed (g has r entries); only the column count differs.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hankel import HankelPartition
-from .qp import QpSolver
+from .qp import QpSolution, QpSolver
 
 __all__ = [
     "DeePCConfig",
@@ -74,9 +73,6 @@ class DeePCConfig:
     lambda_y: float = math.inf
     u_lower: object = -math.inf
     u_upper: object = math.inf
-    tol_kkt: float = 1e-8
-    tol_feas: float = 1e-8
-    max_iter: int = 20000
 
     def __post_init__(self):
         if self.t_ini < 1:
@@ -94,11 +90,6 @@ class DeePCConfig:
             raise ValueError(f"lambda_g must be >= 0, got {self.lambda_g}")
         if self.lambda_y < 0:
             raise ValueError(f"lambda_y must be >= 0, got {self.lambda_y}")
-        for name in ("tol_kkt", "tol_feas"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if operator.index(self.max_iter) < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
     def input_bounds(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         lo = np.broadcast_to(np.asarray(self.u_lower, dtype=float), (m,)).copy()
@@ -164,22 +155,19 @@ class HistoryBuffer:
 
 @dataclass(frozen=True)
 class DeePCStepResult:
-    """One receding-horizon solve; the solver fields are the QpSolution's.
+    """One receding-horizon solve: the plan read off the solver's result.
 
-    solver_path is its path, iterations its dual working-set changes and
-    sweeps its active-set sweeps.
+    solution is the QpSolution the solve returned, as it is: its z_star is
+    the decision vector g (one entry per data column, raw or condensed), and
+    its status, path, KKT residual, iterations and sweeps are the step's
+    solver report. objective is the DeePC cost of the plan, not the QP's.
     """
 
     optimal_inputs: np.ndarray      # (horizon, m)
     predicted_outputs: np.ndarray   # (horizon, p)
-    decision_vector: np.ndarray     # g (or reduced g)
     sigma_y: np.ndarray             # Yp g - y_ini
     objective: float
-    solver_status: str
-    kkt_residual: float
-    iterations: int
-    solver_path: str
-    sweeps: int
+    solution: QpSolution
 
 
 class DeePCTemplate:
@@ -299,10 +287,7 @@ def step(template: DeePCTemplate, history: HistoryBuffer,
     else:
         q = template._cost_rows.T @ (-2.0 * Qt_ref)
     b_eq = np.concatenate([u_ini, y_ini]) if template.hard_history else u_ini
-    sol = template.solver.solve(
-        q, b_eq, template.box_lower, template.box_upper,
-        tol_kkt=cfg.tol_kkt, tol_feas=cfg.tol_feas, max_iter=cfg.max_iter,
-    )
+    sol = template.solver.solve(q, b_eq, template.box_lower, template.box_upper)
 
     g = sol.z_star
     plan = template._plan_map @ g
@@ -320,12 +305,8 @@ def step(template: DeePCTemplate, history: HistoryBuffer,
     if not template.hard_history:
         objective += cfg.lambda_y * float(sigma_y @ sigma_y)
 
-    return DeePCStepResult(
-        optimal_inputs=u, predicted_outputs=y, decision_vector=g,
-        sigma_y=sigma_y, objective=objective, solver_status=sol.status,
-        kkt_residual=sol.kkt_residual, iterations=sol.iterations,
-        solver_path=sol.path, sweeps=sol.sweeps,
-    )
+    return DeePCStepResult(optimal_inputs=u, predicted_outputs=y, sigma_y=sigma_y,
+                           objective=objective, solution=sol)
 
 
 def _require_finite(inputs, outputs):
@@ -365,7 +346,7 @@ class DeePCController:
         inside the actuation bounds.
         """
         result = step(self.template, self.history, reference_window)
-        fell_back = result.solver_status != "optimal"
+        fell_back = result.solution.status != "optimal"
         if fell_back:
             self.fallback_count += 1
             base = (self._last_applied if self._last_applied is not None

@@ -228,9 +228,6 @@ def build_controller(cfg: ExperimentConfig, dataset: TrajectoryDataset) -> DeePC
         lambda_y=cfg.lambda_y,
         u_lower=cfg.u_lower,
         u_upper=u_hi,
-        tol_kkt=cfg.tol_kkt,
-        tol_feas=cfg.tol_feas,
-        max_iter=cfg.max_iter,
     )
     return DeePCController(assemble(control_cfg, data))
 
@@ -360,7 +357,7 @@ class _DeePCPolicy:
 
     def __call__(self, k: int):
         u0, result, fell_back = self.controller.compute(self.window(k))
-        status = "fallback" if fell_back else result.solver_status
+        status = "fallback" if fell_back else result.solution.status
         return u0, status, result.objective
 
     def observe(self, u, tip):

@@ -83,7 +83,6 @@ class TrajectoryDataset:
 
     inputs: np.ndarray
     outputs: np.ndarray
-    sample_period: float = 0.05
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", _freeze(_as_signal(self.inputs)))
@@ -93,8 +92,6 @@ class TrajectoryDataset:
                 f"inputs ({len(self.inputs)} samples) and outputs "
                 f"({len(self.outputs)} samples) must have identical length"
             )
-        if self.sample_period <= 0:
-            raise ValueError(f"sample_period must be positive, got {self.sample_period}")
 
     @property
     def length(self) -> int:

@@ -61,10 +61,14 @@ the way. It ends in a finite number of working-set changes, and reports
 the problem infeasible when no step can reduce a violation. A singular P
 keeps the sweep, from the seed or from the empty set.
 
-Every "optimal" result is certified by the KKT residual. All residuals are
-reported unscaled and relative with a floor of 1 in the denominator, so
-well-scaled problems see absolute tolerances and large problems are judged
-proportionally.
+Every "optimal" result is certified by the KKT residual: the largest of
+the stationarity, equality, bound and complementarity residuals must be at
+most _TOL_KKT = 1e-8. All residuals are reported unscaled and relative with
+a floor of 1 in the denominator, so well-scaled problems see absolute
+tolerances and large problems are judged proportionally. The tolerance and
+the dual solve's cap of _MAX_CHANGES = 20000 working-set changes are the
+solver's own constants, not settings: the dual solve ends in a finite number
+of changes, so the cap is only a guard.
 """
 
 import operator
@@ -81,6 +85,8 @@ from .reduction import left_singular
 __all__ = ["QpSolution", "QpSolver"]
 
 _DELTA = 1e-9  # regularization of the block and KKT factorizations
+_TOL_KKT = 1e-8  # a result certifies when its KKT residual is at most this
+_MAX_CHANGES = 20000  # cap on the dual solve's working-set changes
 # a row whose Schur complement pivot is below this share of its own Gram
 # entry a' P^-1 a lies in the span of the equality rows and the working set
 _DEPENDENT = 1e-10
@@ -177,8 +183,8 @@ class QpSolution:
     status is "optimal" when the result certifies, "infeasible" when the
     equalities are inconsistent or the dual solve finds that no step can
     reduce a bound violation, "max_iterations" when the dual solve reaches
-    max_iter working-set changes, and "inaccurate" when a solve ended but
-    its result does not certify.
+    _MAX_CHANGES working-set changes, and "inaccurate" when a solve ended
+    but its result does not certify.
 
     path names how the result was reached: "warm" when the sweep from the
     shifted working set of the previous certified solve certified, "cold"
@@ -309,7 +315,7 @@ class QpSolver:
     # ---------------- residual bookkeeping ----------------
 
     def _kkt_residual(self, z, nu, y, q, b_eq, lower, upper, bound_mag):
-        """(KKT residual, its feasibility part, objective) at z.
+        """(KKT residual, objective) at z.
 
         Residuals are relative with floor 1; bound_mag is the largest finite
         |bound| (_bound_mag). P z is one dsymv on the F-ordered view of the
@@ -353,8 +359,7 @@ class QpSolver:
             r_comp = comp.max(initial=0.0) / max(1.0, abs_y.max(initial=0.0), az)
 
         kkt = max(r_stat, r_eq, r_box, r_comp)
-        feas = max(r_eq, r_box)
-        return kkt, feas, float(0.5 * (z @ Pz) + q @ z)
+        return kkt, float(0.5 * (z @ Pz) + q @ z)
 
     def _eq_consistent(self, b_eq):
         """Whether b_eq lies in range(A_eq), at the tolerance of matrix_rank."""
@@ -490,7 +495,7 @@ class QpSolver:
             return None, sweep
         return (*primal, y, low, up), sweep
 
-    def _dual(self, q, b_e, lower, upper, max_changes):
+    def _dual(self, q, b_e, lower, upper):
         """Dual active-set solve (Goldfarb & Idnani) from the empty working set.
 
         y holds the bound multipliers (y > 0 at an upper bound), and
@@ -528,7 +533,7 @@ class QpSolver:
             s = 1.0 if Az[p] > upper[p] else -1.0
             gap = viol[p]
             while True:
-                if changes == max_changes:
+                if changes == _MAX_CHANGES:
                     failure = "max_iterations"
                     break
                 act = np.flatnonzero(side)
@@ -596,25 +601,18 @@ class QpSolver:
             mult = mult + d[self.n :]
         return z, mult[:k_e], mult[k_e:]
 
-    def solve(self, q, b_eq=None, lower=None, upper=None,
-              tol_kkt=1e-8, tol_feas=1e-8, max_iter=20000):
+    def solve(self, q, b_eq=None, lower=None, upper=None):
         """Solve for one (q, b_eq, lower, upper) on the bound matrices.
 
         The sweep from the shifted working set of the previous solve runs
         first, when that solve certified. Without such a set, or when its
         result does not certify, the dual solve runs from the empty set, at
-        most max_iter working-set changes (a singular P sweeps from the
-        empty set instead). q and b_eq must be finite, the bounds free of
-        NaN, with no lower bound at +inf and no upper bound at -inf; the
-        tolerances must be positive and max_iter a positive integer. b_eq or
+        most _MAX_CHANGES working-set changes (a singular P sweeps from the
+        empty set instead). A result is "optimal" when its KKT residual is
+        at most _TOL_KKT. q and b_eq must be finite, the bounds free of NaN,
+        with no lower bound at +inf and no upper bound at -inf. b_eq or
         bounds given to a solver without such rows are an error.
         """
-        max_iter = operator.index(max_iter)
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-        for name, tol in (("tol_kkt", tol_kkt), ("tol_feas", tol_feas)):
-            if not tol > 0:
-                raise ValueError(f"{name} must be positive, got {tol}")
         q = _finite(_vec(q, self.n, "q"), "q")
         if self.n_e:
             if b_eq is None:
@@ -640,9 +638,9 @@ class QpSolver:
 
         def check(result):
             """(KKT residual, objective, whether the result certifies)."""
-            kkt, feas, objective = self._kkt_residual(*result[:3], q, b_eq,
-                                                      lower, upper, bound_mag)
-            return kkt, objective, kkt <= tol_kkt and feas <= tol_feas
+            kkt, objective = self._kkt_residual(*result[:3], q, b_eq,
+                                                lower, upper, bound_mag)
+            return kkt, objective, kkt <= _TOL_KKT
 
         def finish(result, kkt, objective, certified, path, failure, iterations=0):
             z, nu, y, low, up = result
@@ -680,7 +678,7 @@ class QpSolver:
             result, cold_sweeps = self._active_set(q, b_e, lower, upper, empty, empty)
             sweeps += cold_sweeps
         else:
-            result, changes, failure = self._dual(q, b_e, lower, upper, max_iter)
+            result, changes, failure = self._dual(q, b_e, lower, upper)
         if result is None:
             result = (np.zeros(self.n), np.zeros(self.n_e), np.zeros(self.n_i),
                       empty, empty)

@@ -124,15 +124,13 @@ def compute_metrics(
     log: RunLog,
     reference: np.ndarray | None = None,
     band_deg: float = 2.0,
-    band_mm: float = 1.0,
 ) -> dict:
     """Tracking metrics for a run.
 
     RMSE and max error are Euclidean tip errors in mm, computed after the
     warm-up window recorded on the log. Per-stage settling uses the bending
     angle against ``band_deg``: the bending angle carries the tip distance,
-    while the gyration angle is ill-conditioned near straight configurations
-    (``band_mm`` is the tip-norm band used when a stage has no angle target).
+    while the gyration angle is ill-conditioned near straight configurations.
     """
     steps = len(log)
     if steps == 0:
@@ -188,7 +186,6 @@ def compute_metrics(
                 "phi_err_deg": float(np.mean(phi_err[tail_sl.start - start :])),
                 "gamma_err_deg": float(np.mean(gamma_err[tail_sl.start - start :])),
                 "band_deg": band_deg,
-                "band_mm": band_mm,
             }
         )
     return metrics

@@ -142,7 +142,7 @@ def arm_step_reference(lag_lengths, u, dt, geom, tau, disturbances, rng):
 
 
 def kkt_residual_reference(P, A_eq, A_in, z, nu, y, q, b_eq, lower, upper):
-    """(KKT residual, its feasibility part, objective) of a QP point, densely.
+    """(KKT residual, objective) of a QP point, densely.
 
     The certifier's definition, kept as a reference formula: stationarity,
     equality, box and complementarity residuals, each unscaled and relative
@@ -190,5 +190,4 @@ def kkt_residual_reference(P, A_eq, A_in, z, nu, y, q, b_eq, lower, upper):
         r_comp = comp.max(initial=0.0) / max(1.0, _amax(y), az)
 
     kkt = max(r_stat, r_eq, r_box, r_comp)
-    feas = max(r_eq, r_box)
-    return kkt, feas, float(0.5 * z @ Pz + q @ z)
+    return kkt, float(0.5 * z @ Pz + q @ z)

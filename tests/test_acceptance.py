@@ -175,7 +175,7 @@ def test_first_input_matches_model_based_mpc(capsys):
             history.push(u, y)
         refs = 0.5 * rng.standard_normal((horizon, 2))
         result = step(template, history, refs)
-        assert result.solver_status == "optimal"
+        assert result.solution.status == "optimal"
         u_mpc = model_mpc(A, B, C, D, x_now, np.eye(2), 0.05 * np.eye(2),
                           refs, -1.0, 1.0)
         worst = max(worst, float(np.max(np.abs(result.optimal_inputs[0] - u_mpc[0]))))
@@ -247,7 +247,7 @@ def test_svd_condensation_exact_then_fast_at_energy_rank(capsys):
             for u, y in zip(u_h, y_h):
                 history.push(u, y)
             result = step(template, history, refs)
-            assert result.solver_status == "optimal"
+            assert result.solution.status == "optimal"
             firsts.append(result.optimal_inputs[0])
         worst_exact = max(worst_exact, float(np.max(np.abs(firsts[0] - firsts[1]))))
 

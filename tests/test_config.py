@@ -54,6 +54,13 @@ class TestParsing:
         with pytest.raises(ValueError, match="line 2"):
             parse_config_text("t_ini = 20\nnot_a_key = 3\n")
 
+    @pytest.mark.parametrize("line", ["tol_kkt = 1e-8", "tol_feas = 1e-8",
+                                      "max_iter = 20000"])
+    def test_solver_settings_are_not_config_keys(self, line):
+        # the QP solver's tolerance and cap are its own constants
+        with pytest.raises(ValueError, match="unknown config key"):
+            parse_config_text(line)
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="expected 'key = value'"):
             parse_config_text("just some words\n")
@@ -95,6 +102,26 @@ class TestValidation:
             ExperimentConfig(dither_halfwidth=0.0)
         with pytest.raises(ValueError, match="dither_hold"):
             ExperimentConfig(dither_hold=0)
+
+    def test_negative_state_allowance_rejected(self):
+        # n_est = -45 used to lower the excitation order to 5, below the
+        # t_ini + horizon = 50 windows the controller reads
+        with pytest.raises(ValueError, match="n_est"):
+            ExperimentConfig(n_est=-45)
+        assert ExperimentConfig(n_est=0).pe_order() == 50
+
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ValueError, match="pe_retries"):
+            ExperimentConfig(pe_retries=-1)
+        assert ExperimentConfig(pe_retries=0).pe_retries == 0
+
+    def test_unknown_excitation_kind_rejected_at_parse(self):
+        # a misspelt kind used to fail only at collection, in a message that
+        # did not list stage_dither
+        with pytest.raises(ValueError, match="excitation_kind.*stage_dither"):
+            parse_config_text("excitation_kind = stage_ditherr")
+        for kind in ("stage_dither", "ramp_and_hold", "uniform_random"):
+            assert ExperimentConfig(excitation_kind=kind).excitation_kind == kind
 
 
 class TestStages:

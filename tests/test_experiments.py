@@ -396,8 +396,10 @@ class TestClosedLoopRuns:
 
         def recording_step(*args, **kwargs):
             result = real_step(*args, **kwargs)
-            sweeps.append(result.sweeps)
-            return dataclasses.replace(result, sweeps=result.sweeps + 10**6)
+            sol = result.solution
+            sweeps.append(sol.sweeps)
+            return dataclasses.replace(
+                result, solution=dataclasses.replace(sol, sweeps=sol.sweeps + 10**6))
 
         plain = run("plain")
         monkeypatch.setattr(controller_module, "step", recording_step)

@@ -69,10 +69,6 @@ class TestTrajectoryDataset:
         with pytest.raises(ValueError, match="identical length"):
             TrajectoryDataset(inputs=np.zeros((10, 1)), outputs=np.zeros((11, 1)))
 
-    def test_bad_sample_period_rejected(self):
-        with pytest.raises(ValueError, match="sample_period"):
-            TrajectoryDataset(np.zeros((5, 1)), np.zeros((5, 1)), sample_period=0.0)
-
     def test_arrays_immutable(self):
         ds = TrajectoryDataset(inputs=np.zeros((5, 1)), outputs=np.zeros((5, 1)))
         with pytest.raises(ValueError):

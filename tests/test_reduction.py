@@ -330,7 +330,7 @@ def first_input(template, u_hist, y_hist, refs):
     for u, y in zip(u_hist, y_hist):
         history.push(u, y)
     result = step(template, history, refs)
-    assert result.solver_status == "optimal"
+    assert result.solution.status == "optimal"
     return result.optimal_inputs[0]
 
 
