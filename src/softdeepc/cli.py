@@ -99,16 +99,22 @@ def _print_metrics(metrics: dict):
         )
 
 
+def _check_excitation(dataset, order: int) -> tuple[bool, str]:
+    """(exciting, report line) for the dataset's inputs at this order."""
+    exciting, rank = is_persistently_exciting(dataset.inputs, order)
+    return exciting, (f"excitation order {order}: rank {rank} of "
+                      f"{dataset.input_dim * order}")
+
+
 def _cmd_collect(args) -> int:
     cfg = load_config(args.config)
     dataset = collect_dataset(cfg, seed=args.seed, task=args.task.replace("-", "_"))
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "dataset.csv"
     save_dataset(path, dataset)
-    exciting, rank = is_persistently_exciting(dataset.inputs, cfg.pe_order())
+    exciting, line = _check_excitation(dataset, cfg.pe_order())
     print(f"collected {dataset.length} samples -> {path}")
-    print(f"excitation order {cfg.pe_order()}: rank {rank} of "
-          f"{3 * cfg.pe_order()} ({'ok' if exciting else 'NOT exciting'})")
+    print(f"{line} ({'ok' if exciting else 'NOT exciting'})")
     return 0
 
 
@@ -144,11 +150,9 @@ def _cmd_compare(args) -> int:
 def _cmd_check_pe(args) -> int:
     cfg = load_config(args.config)
     dataset = load_dataset(args.dataset)
-    order = cfg.pe_order()
-    exciting, rank = is_persistently_exciting(dataset.inputs, order)
-    needed = dataset.input_dim * order
+    exciting, line = _check_excitation(dataset, cfg.pe_order())
     print(f"{args.dataset}: {dataset.length} samples, {dataset.input_dim} channels")
-    print(f"excitation order {order}: rank {rank} of {needed}")
+    print(line)
     if not exciting:
         print("dataset is NOT persistently exciting at this order; collect a "
               "longer or richer signal", file=sys.stderr)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hankel import HankelPartition
+from .hankel import HankelPartition, _Made
 from .qp import QpSolution, QpSolver
 
 __all__ = [
@@ -178,7 +178,9 @@ class DeePCTemplate:
     otherwise runs one QP solve, whose dense factorizations are cached
     inside the bound QpSolver; the objective it reports is the cost
     evaluated on the plan with the per-step Q and R, so no horizon-sized
-    weight matrix is kept.
+    weight matrix is kept. The cost matrix P is built here and handed over
+    to the solver, which factors it in place: the solver's one n x n array
+    holds both, and the template keeps no P (solver._hessian() rebuilds it).
     """
 
     def __init__(self, config: DeePCConfig, data: HankelPartition):
@@ -223,10 +225,10 @@ class DeePCTemplate:
         if not self.hard_history and config.lambda_y > 0.0:
             blocks.append(math.sqrt(2.0 * config.lambda_y) * self.Yp)
         Hw = np.vstack(blocks)
-        self.P = Hw.T @ Hw
-        self.P[np.diag_indices(self.n_g)] += 2.0 * config.lambda_g
-        # the solver keeps P by reference
-        self.P.flags.writeable = False
+        del blocks
+        P = Hw.T @ Hw
+        del Hw
+        P[np.diag_indices(self.n_g)] += 2.0 * config.lambda_g
         # [Uf; Yp; Yf], contiguous rows of the data matrix: one product with
         # the solution gives the planned inputs, the slack and the predictions.
         # The linear cost q = -2 (Yp' lambda_y y_ini + Yf' Qt y_ref) is one
@@ -254,8 +256,9 @@ class DeePCTemplate:
             self.box_upper = np.tile(u_hi, N)
 
         # A_in is Uf: shifting the working set by one input block lines the
-        # last plan up with this one
-        self.solver = QpSolver(self.P, self.A_eq, self.A_in, seed_shift=self.m)
+        # last plan up with this one. P is handed over: the solver factors
+        # it in place, so the set-up holds one n x n array
+        self.solver = QpSolver(_Made(P), self.A_eq, self.A_in, seed_shift=self.m)
 
     def make_history(self) -> HistoryBuffer:
         return HistoryBuffer(self.config.t_ini, self.m, self.p)

@@ -51,12 +51,23 @@ def _as_signal(signal) -> np.ndarray:
 
 
 class _Made:
-    """An array the package has just made and keeps no other reference to."""
+    """An array the package has just made and keeps no other reference to.
+
+    Its one consumer takes the array out, which empties the wrapper: the
+    consumer may then write to the array or keep it without a copy, and a
+    second hand-over raises instead of sharing it.
+    """
 
     __slots__ = ("array",)
 
     def __init__(self, array: np.ndarray):
         self.array = array
+
+    def take(self) -> np.ndarray:
+        array, self.array = self.array, None
+        if array is None:
+            raise ValueError("this array was already handed over")
+        return array
 
 
 def _freeze(arr) -> np.ndarray:
@@ -66,7 +77,7 @@ def _freeze(arr) -> np.ndarray:
     is taken as it is, and copied only if it is not C-ordered float.
     """
     if isinstance(arr, _Made):
-        arr = np.ascontiguousarray(arr.array, dtype=float)
+        arr = np.ascontiguousarray(arr.take(), dtype=float)
     else:
         arr = np.array(arr, dtype=float, order="C")
     arr.flags.writeable = False

@@ -25,18 +25,22 @@ against the block itself. A singular P, or a block whose shifted
 factorization fails too, takes a regularized KKT solve instead.
 
 Construction reads P in one finiteness check and one exact-symmetry check,
-keeps an exactly symmetric P as given (a nearly symmetric one costs one
-n x n copy for its symmetric part), and then does one Cholesky factorization
-(dpotrf), one triangular solve with the rows as right-hand sides (dtrsm)
-and one symmetric product X'X. The factor U is the only n x n array of
-floats it makes; X is n x rows, and the stacked rows [A_eq; A_in] are the
-solver's one copy of the constraint matrices.
+and then does one Cholesky factorization (dpotrf), one triangular solve with
+the rows as right-hand sides (dtrsm) and one symmetric product X'X. P and its
+factor share one n x n buffer: dpotrf writes U over the upper triangle and
+leaves the strict lower one, which still holds P, and the solver keeps
+diag(P) as n floats. The buffer is a P handed over as hankel._Made (no copy
+at all), the symmetric part of a nearly symmetric P, or one copy of a
+caller's exactly symmetric P, which stays as it was. X is n x rows, and the
+stacked rows [A_eq; A_in] are the solver's one copy of the constraint
+matrices.
 
 With P > 0 a solve copies no n-column array and reads each at most twice.
 The n x n data takes three level-2 BLAS passes: w = U^-T q and
 z = -U^-1 (w + X [nu; y]) are the two triangular solves on the cached
-factor, and the certifier's P z is one symmetric product, which also gives
-the objective. X takes two products, X'w and X [nu; y]; the stacked rows
+factor, and the certifier's P z is one symmetric product on the lower
+triangle with the diagonal corrected from diag(U) to diag(P), which also
+gives the objective. X takes two products, X'w and X [nu; y]; the stacked rows
 take one for A z, and A_eq and A_in one each for the certifier's gradient.
 The rest of the solve works on the small blocks.
 
@@ -79,7 +83,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.blas import dsymv, dtrsm, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .hankel import singular_value_rank
+from .hankel import _Made, singular_value_rank
 from .reduction import left_singular
 
 __all__ = ["QpSolution", "QpSolver"]
@@ -120,23 +124,26 @@ def _stacked_rows(A_eq, A_in, n):
     return rows, *counts
 
 
-def _symmetric(P):
-    """A read-only C-ordered view of a finite square P, or its symmetric part.
+def _symmetric(P, made):
+    """A writable C-ordered buffer holding a finite square P or its symmetric part.
 
-    An exactly symmetric P is kept as given, without a copy. Otherwise
-    P - P' is formed once: it measures the asymmetry, which must be within
-    1e-10 of max |P|, and its buffer then receives 0.5 (P + P').
+    An exactly symmetric P is the buffer itself when it was made for the
+    solver (made) and is writable and C-ordered, else it is copied once: the
+    f2py wrapper of dpotrf with overwrite_a writes into an F-ordered view
+    even when it is read-only. Otherwise P - P' is formed once: it measures
+    the asymmetry, which must be within 1e-10 of max |P|, and its buffer
+    then receives 0.5 (P + P').
     """
     if (P == P.T).all():
-        S = np.ascontiguousarray(P).view()
-    else:
-        S = np.subtract(P, P.T, order="C")
-        asym = max(S.max(), -S.min())
-        if asym > 1e-10 * max(1.0, P.max(), -P.min()):
-            raise ValueError(f"P is not symmetric (max asymmetry {asym:.3e})")
-        S = np.add(P, P.T, out=S)
-        S *= 0.5
-    S.flags.writeable = False
+        if made and P.flags.c_contiguous and P.flags.writeable:
+            return P
+        return np.array(P, order="C")
+    S = np.subtract(P, P.T, order="C")
+    asym = max(S.max(), -S.min())
+    if asym > 1e-10 * max(1.0, P.max(), -P.min()):
+        raise ValueError(f"P is not symmetric (max asymmetry {asym:.3e})")
+    S = np.add(P, P.T, out=S)
+    S *= 0.5
     return S
 
 
@@ -242,23 +249,27 @@ class QpSolver:
 
     Construction factors P, eliminates the equality rows and keeps the Schur
     complement of the bound rows, so each solve of a receding-horizon loop
-    factors only small working-set blocks. Each solve first sweeps from the
-    working set of the last certified one. With seed_shift > 0 that set is
-    first moved forward by seed_shift rows, the last seed_shift rows
-    repeating the ones before them, unless the step before matched it
-    better unmoved. Without such a set, or when the sweep does not certify,
-    the dual solve runs from the empty set.
+    factors only small working-set blocks. P may be handed over as
+    hankel._Made: the solver then factors that array in place and empties
+    the wrapper. A caller's plain P is copied once and left as it was.
+    Each solve first sweeps from the working set of the last certified one.
+    With seed_shift > 0 that set is first moved forward by seed_shift rows,
+    the last seed_shift rows repeating the ones before them, unless the step
+    before matched it better unmoved. Without such a set, or when the sweep
+    does not certify, the dual solve runs from the empty set.
     """
 
     def __init__(self, P, A_eq=None, A_in=None, seed_shift=0):
-        P = np.asarray(P, dtype=float)
+        made = isinstance(P, _Made)
+        P = np.asarray(P.take() if made else P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError(f"P must be square, got shape {P.shape}")
         self.seed_shift = operator.index(seed_shift)
         if self.seed_shift < 0:
             raise ValueError(f"seed_shift must be >= 0, got {seed_shift}")
-        # C-ordered, so that self.P.T is an F-ordered view BLAS reads in place
-        self.P = _symmetric(_finite(P, "P"))
+        # C-ordered, so that its transpose is an F-ordered view that
+        # LAPACK factors in place
+        P = _symmetric(_finite(P, "P"), made)
         self.n = P.shape[0]
         # [A_eq; A_in] is the solver's one copy of the constraint rows: the
         # certifier reads A z off it in one product, and A_eq and A_in are
@@ -286,11 +297,16 @@ class QpSolver:
         # in whitened coordinates: with P = U'U and X = U^-T A', the Gram
         # matrix is S = X'X. T = S_ee^-1 S_ei and C = S_ii - S_ie T. Needs
         # P > 0 and S_ee > 0; otherwise every sweep takes the KKT solve and
-        # there is no dual solve. U is F-ordered (dpotrf reads the F-ordered
-        # view P.T, equal to P) and only its upper triangle is ever read, so
-        # it is not cleaned.
+        # there is no dual solve. dpotrf factors the F-ordered view P.T,
+        # equal to P, in place: U over its upper triangle (partly written
+        # when the factorization fails), P left in its strict lower one,
+        # which the certifier and _hessian read with the kept diag(P).
         self._C = None
-        U, info = dpotrf(self.P.T, lower=0, clean=0)
+        self._diag_P = P.diagonal().copy()
+        U, info = dpotrf(P.T, lower=0, clean=0, overwrite_a=1)
+        U.flags.writeable = False
+        self._PU = U
+        self._diag_gap = self._diag_P - U.diagonal()
         if not info:
             X = dtrsm(1.0, U, self._rows_kkt.T, lower=0, trans_a=1)
             S = X.T @ X
@@ -304,7 +320,6 @@ class QpSolver:
                 self._S_ie = np.ascontiguousarray(S_ei.T)
                 self._T = T
                 self._C = 0.5 * (C + C.T)
-                self._U = U
                 self._X = X
                 self._pivot_min = _DEPENDENT * np.diag(S_ii)
 
@@ -314,15 +329,24 @@ class QpSolver:
 
     # ---------------- residual bookkeeping ----------------
 
+    def _hessian(self):
+        """P, rebuilt from the shared buffer's strict lower triangle and diag(P)."""
+        L = np.tril(self._PU, -1)
+        P = L + L.T
+        P[np.diag_indices(self.n)] = self._diag_P
+        return P
+
     def _kkt_residual(self, z, nu, y, q, b_eq, lower, upper, bound_mag):
         """(KKT residual, objective) at z.
 
         Residuals are relative with floor 1; bound_mag is the largest finite
-        |bound| (_bound_mag). P z is one dsymv on the F-ordered view of the
-        symmetric P, and it gives the objective too; A z is one product with
-        the stacked rows.
+        |bound| (_bound_mag). P z is one dsymv on the lower triangle of the
+        buffer P shares with U, whose diagonal holds diag(U), plus
+        (diag P - diag U) z; it gives the objective too. A z is one product
+        with the stacked rows.
         """
-        Pz = dsymv(1.0, self.P.T, z)
+        Pz = dsymv(1.0, self._PU, z, lower=1)
+        Pz += self._diag_gap * z
         grad = Pz + q
         terms = [_amax(Pz), _amax(q)]
         if self.n_e:
@@ -410,7 +434,7 @@ class QpSolver:
         if self._C is None:
             return None, None, None
         k_e = self._n_e_solve
-        w = dtrsv(self._U, q, trans=1)
+        w = dtrsv(self._PU, q, trans=1)
         a = self._X.T @ w
         nu0 = _spd_solve(self._S_ee, self._c_ee, -a[:k_e] - b_e)
         return w, nu0, -a[k_e:] - self._S_ie @ nu0
@@ -443,7 +467,7 @@ class QpSolver:
         """
         if kkt is None:
             nu = nu0 - self._T @ y
-            z = -dtrsv(self._U, w + self._X @ np.concatenate([nu, y]), overwrite_x=1)
+            z = -dtrsv(self._PU, w + self._X @ np.concatenate([nu, y]), overwrite_x=1)
         else:
             z, nu = kkt
         if not (np.isfinite(z).all() and np.isfinite(nu).all()):
@@ -579,13 +603,14 @@ class QpSolver:
         """Regularized KKT solve with iterative refinement; returns (z, nu, y_act).
 
         The path for singular P, and for blocks too ill-conditioned for a
-        Cholesky factorization.
+        Cholesky factorization. P is rebuilt for it (_hessian).
         """
+        P = self._hessian()
         k_e = self._n_e_solve
         G = self._rows_kkt[np.concatenate([np.arange(k_e), k_e + act])]
         k = len(G)
         K = np.zeros((self.n + k, self.n + k))
-        K[: self.n, : self.n] = self.P + _DELTA * np.eye(self.n)
+        K[: self.n, : self.n] = P + _DELTA * np.eye(self.n)
         K[: self.n, self.n :] = G.T
         K[self.n :, : self.n] = G
         K[self.n :, self.n :] = -_DELTA * np.eye(k)
@@ -594,7 +619,7 @@ class QpSolver:
         sol = lu_solve(lu, np.concatenate([-q, h]), check_finite=False)
         z, mult = sol[: self.n], sol[self.n :]
         for _ in range(3):
-            r1 = -q - self.P @ z - G.T @ mult
+            r1 = -q - P @ z - G.T @ mult
             r2 = h - G @ z
             d = lu_solve(lu, np.concatenate([r1, r2]), check_finite=False)
             z = z + d[: self.n]

@@ -7,6 +7,7 @@ checks exit codes, emitted files, and the printed summaries.
 import numpy as np
 import pytest
 
+from softdeepc import cli
 from softdeepc.cli import main
 from softdeepc.hankel import TrajectoryDataset
 from softdeepc.runlog import save_dataset
@@ -54,6 +55,20 @@ class TestCollectAndCheck:
         stdout = capsys.readouterr().out
         assert "collected 400 samples" in stdout
         assert "ok" in stdout
+
+    def test_collect_reports_rank_of_the_dataset_channels(self, tmp_path, config_path,
+                                                          capsys, monkeypatch):
+        # a two-channel dataset: full rank is 2 * order, not 3 * order
+        rng = np.random.default_rng(1)
+        two = TrajectoryDataset(inputs=rng.uniform(0, 90, size=(400, 2)),
+                                outputs=rng.normal(size=(400, 3)))
+        monkeypatch.setattr(cli, "collect_dataset", lambda cfg, seed, task: two)
+        code = run_cli("collect", "--config", config_path, "--seed", "0",
+                       "--out", tmp_path / "collect")
+        assert code == 0
+        order = 6 + 8 + 4
+        assert f"excitation order {order}: rank {2 * order} of {2 * order} (ok)" in (
+            capsys.readouterr().out.splitlines())
 
     def test_collect_circle_task(self, tmp_path, config_path):
         out = tmp_path / "collect_circle"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,8 +200,28 @@ class TestAssemble:
                               + 7.0 * np.eye(K))
             if not math.isinf(lambda_y):
                 expected += 2.0 * lambda_y * part.Yp.T @ part.Yp
-            np.testing.assert_allclose(tpl.P, expected, rtol=1e-12, err_msg=case)
-            assert (tpl.P == tpl.P.T).all(), case
+            P = tpl.solver._hessian()
+            np.testing.assert_allclose(P, expected, rtol=1e-12, err_msg=case)
+            assert (P == P.T).all(), case
+
+    def test_raw_set_up_holds_one_cost_matrix(self):
+        # P is handed over and factored in place, so assembling a raw
+        # template holds one n x n array of floats: about 1.13 n^2 doubles
+        # at its peak, against 2.10 when the solver factored a copy
+        _, part = self.setup_data(seed=0, T=1100)
+        n = part.columns
+        assert n >= 1000
+        cfg = DeePCConfig(t_ini=4, horizon=6, R=0.1, lambda_g=1.0,
+                          lambda_y=1e3, u_lower=-1.0, u_upper=1.0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tpl = assemble(cfg, part)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+        assert not hasattr(tpl, "P")
 
     def test_hard_history_moves_yp_to_equalities(self):
         _, part = self.setup_data()

@@ -11,7 +11,7 @@ from oracles import collect_lti_dataset, kkt_residual_reference, random_minimal_
 from softdeepc import controller, experiments, qp
 from softdeepc.config import ExperimentConfig
 from softdeepc.controller import DeePCConfig, DeePCController, assemble
-from softdeepc.hankel import build_hankel, partition_past_future
+from softdeepc.hankel import _Made, build_hankel, partition_past_future
 from softdeepc.plants import LtiPlant
 from softdeepc.qp import QpSolver
 from softdeepc.runlog import StageSpec
@@ -129,18 +129,53 @@ class TestProblemValidation:
         P = np.eye(2)
         P[0, 1] = 1e-13
         solver = QpSolver(P)
-        np.testing.assert_array_equal(solver.P, solver.P.T)
+        np.testing.assert_array_equal(solver._hessian(), 0.5 * (P + P.T))
+        assert P[0, 1] == 1e-13 and P[1, 0] == 0.0
 
-    def test_symmetric_P_stored_as_given(self):
-        rng = np.random.default_rng(4)
-        M = rng.standard_normal((6, 6))
-        P = M.T @ M + np.eye(6)
+    @staticmethod
+    def spd(n, seed):
+        M = np.random.default_rng(seed).standard_normal((n, n))
+        P = M.T @ M + np.eye(n)
         assert (P == P.T).all()
+        return P
+
+    def test_caller_P_copied_and_left_as_given(self):
+        P = self.spd(6, 4)
+        before = P.copy()
         solver = QpSolver(P)
-        assert solver.P.tobytes() == P.tobytes()
-        assert np.shares_memory(solver.P, P)
-        assert solver.P.flags.c_contiguous and not solver.P.flags.writeable
+        assert P.tobytes() == before.tobytes()
         assert P.flags.writeable
+        assert not np.shares_memory(solver._PU, P)
+        np.testing.assert_array_equal(solver._hessian(), before)
+
+    def test_made_P_factored_in_place(self):
+        # the handed-over array becomes the factor's buffer: U over its upper
+        # triangle, bit-identical to a factorization of a copy, and P left
+        # in its strict lower triangle
+        n = 200
+        P = self.spd(n, 5)
+        before = P.copy()
+        made = _Made(P)
+        solver = QpSolver(made)
+        assert np.shares_memory(solver._PU, P)
+        assert not solver._PU.flags.writeable
+        U, info = qp.dpotrf(before.T, lower=0, clean=1)
+        assert info == 0
+        np.testing.assert_array_equal(np.triu(solver._PU), U)
+        np.testing.assert_array_equal(solver._hessian(), before)
+        # the wrapper is emptied, so the array cannot reach a second owner
+        with pytest.raises(ValueError, match="already handed over"):
+            QpSolver(made)
+
+    def test_made_P_that_is_read_only_is_copied(self):
+        # the dpotrf wrapper would factor a read-only array in place
+        P = self.spd(6, 6)
+        P.flags.writeable = False
+        before = P.copy()
+        solver = QpSolver(_Made(P))
+        assert not np.shares_memory(solver._PU, P)
+        np.testing.assert_array_equal(P, before)
+        np.testing.assert_array_equal(solver._hessian(), before)
 
     @pytest.mark.parametrize("name", ["P", "A_eq", "A_in"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -767,14 +802,22 @@ class TestCertifier:
         for _ in range(20):
             P, A_eq, A_in, z, nu, y, q, b_eq, lower, upper = self.instance(
                 rng, n_e, n_i, variant)
-            solver = QpSolver(P, A_eq, A_in)
-            got = solver._kkt_residual(z, nu, y, q, b_eq, lower, upper,
-                                       qp._bound_mag(lower, upper))
-            want = kkt_residual_reference(P, A_eq, A_in, z, nu, y, q, b_eq,
-                                          lower, upper)
-            # the residuals are relative, so a term that is zero in exact
-            # arithmetic reads at round-off level, about 1e-16: the floor
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+            # P as the solver stores it: a caller's array copied, one handed
+            # over and factored in place, and the symmetric part of a nearly
+            # symmetric one, which the reference sees as the solver forms it
+            skew = np.triu(rng.uniform(-1e-14, 1e-14, P.shape), 1)
+            P_near = P + skew - skew.T
+            assert (P_near != P_near.T).any()
+            for given, P_ref in ((P, P), (_Made(P.copy()), P),
+                                 (P_near, 0.5 * np.add(P_near, P_near.T))):
+                solver = QpSolver(given, A_eq, A_in)
+                got = solver._kkt_residual(z, nu, y, q, b_eq, lower, upper,
+                                           qp._bound_mag(lower, upper))
+                want = kkt_residual_reference(P_ref, A_eq, A_in, z, nu, y, q,
+                                              b_eq, lower, upper)
+                # the residuals are relative, so a term that is zero in exact
+                # arithmetic reads at round-off level, about 1e-16: the floor
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
 
 
 class TestSeedShift:
@@ -793,8 +836,10 @@ class TestSeedShift:
 
         class Twin(QpSolver):
             def __init__(self, P, A_eq=None, A_in=None, seed_shift=0):
+                # a handed-over P goes to one solver: the twin gets a copy
+                twin_P = np.array(P.array)
                 super().__init__(P, A_eq, A_in, seed_shift=seed_shift)
-                self.unshifted = QpSolver(P, A_eq, A_in)
+                self.unshifted = QpSolver(twin_P, A_eq, A_in)
 
             def solve(self, *args, **kwargs):
                 sol = super().solve(*args, **kwargs)
@@ -887,17 +932,28 @@ class TestSolveCost:
         assert (sol.status, sol.path) == ("optimal", "warm")
         assert peak < n * n * 8
 
-    def test_construction_allocates_one_factor(self):
-        # the Cholesky factor is the one n x n array construction must make;
-        # a copy of an exactly symmetric P, a symmetrized temporary or an
-        # n x n P^-1 product would each add another (about 1.48 n^2 doubles
-        # now, 2.52 with the copy and the separate checks)
-        n = 600
-        prob = random_strictly_convex(np.random.default_rng(84), n=n, n_e=20, n_i=40)
+    @staticmethod
+    def construction_peak(P, prob):
         tracemalloc.start()
         try:
-            QpSolver(prob.P, prob.A_eq, prob.A_in)
-            peak = tracemalloc.get_traced_memory()[1]
+            QpSolver(P, prob.A_eq, prob.A_in)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.75 * n * n * 8
+
+    def test_construction_allocates_one_factor(self):
+        # P and its Cholesky factor share one n x n buffer, a copy of a
+        # caller's P (about 1.24 n^2 doubles in all); a second copy, a
+        # symmetrized temporary or an n x n P^-1 product would each add
+        # another
+        n = 600
+        prob = random_strictly_convex(np.random.default_rng(84), n=n, n_e=20, n_i=40)
+        assert self.construction_peak(prob.P, prob) < 1.75 * n * n * 8
+
+    def test_construction_copies_no_handed_over_P(self):
+        # a handed-over P is factored in place: construction makes no n x n
+        # array of floats (about 0.23 n^2 doubles: the symmetry check's
+        # booleans and the whitened rows; 1.23 with a copy)
+        n = 600
+        prob = random_strictly_convex(np.random.default_rng(84), n=n, n_e=20, n_i=40)
+        assert self.construction_peak(_Made(prob.P.copy()), prob) < 0.5 * n * n * 8
