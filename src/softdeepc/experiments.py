@@ -21,16 +21,21 @@ from .config import ExperimentConfig
 from .controller import DeePCConfig, DeePCController, assemble
 from .excitation import ExcitationSpec, generate_excitation
 from .hankel import (
+    HankelPartition,
     TrajectoryDataset,
-    build_hankel,
+    _Made,
     is_persistently_exciting,
     numerical_rank,
-    partition_past_future,
     singular_value_rank,
+    stacked_hankel,
 )
+
+# build_hankel and partition_past_future are not called here, but stay
+# importable under these names: the benchmark tracer wraps both.
+from .hankel import build_hankel, partition_past_future  # noqa: F401
 from .kinematics import ArmGeometry, cc_forward, cc_inverse
 from .plants import DisturbanceConfig, SoftArmPlant
-from .reduction import condense_lossless, factorize_and_condense, select_rank
+from .reduction import condense_stack, factorize_and_condense, select_rank
 from .runlog import RunLog, StageSpec, compute_metrics
 
 
@@ -198,6 +203,27 @@ def _raise_rank_until_feasible(partition, energy_fraction):
     return condense(hi)
 
 
+def _data_matrix(cfg: ExperimentConfig, dataset: TrajectoryDataset) -> HankelPartition:
+    """The controller's data: the raw partition, or a condensation of it.
+
+    The stack [Hu; Hy] is written once, and only the wrapper holds it: the
+    lossless condensation (the default) factors it in place, and the other
+    paths take it as the partition's matrix without a copy. The raw stack is
+    freed on return unless it is the data itself.
+    """
+    stack = _Made(stacked_hankel(dataset.inputs, dataset.outputs, cfg.t_ini + cfg.horizon))
+    layout = dict(input_dim=dataset.input_dim, output_dim=dataset.output_dim,
+                  t_ini=cfg.t_ini, horizon=cfg.horizon)
+    if cfg.use_reduction and not 0 <= cfg.reduction_rank < min(stack.array.shape):
+        return condense_stack(stack, **layout)
+    partition = HankelPartition(matrix=stack, **layout)
+    if not cfg.use_reduction:
+        return partition
+    if cfg.reduction_rank == 0:
+        return _raise_rank_until_feasible(partition, cfg.reduction_energy)
+    return factorize_and_condense(partition, r=cfg.reduction_rank)
+
+
 def build_controller(cfg: ExperimentConfig, dataset: TrajectoryDataset) -> DeePCController:
     """Assemble the data-driven controller from a collected trajectory.
 
@@ -205,19 +231,9 @@ def build_controller(cfg: ExperimentConfig, dataset: TrajectoryDataset) -> DeePC
     the model has no evidence beyond it, and extrapolated commands excite
     unmodeled gain errors.
     """
-    depth = cfg.t_ini + cfg.horizon
-    # the partition stacks copies of both Hankels; they are freed here
-    partition = partition_past_future(build_hankel(dataset.inputs, depth),
-                                      build_hankel(dataset.outputs, depth),
-                                      cfg.t_ini, cfg.horizon)
-    if not cfg.use_reduction:
-        data = partition
-    elif cfg.reduction_rank == 0:
-        data = _raise_rank_until_feasible(partition, cfg.reduction_energy)
-    elif 0 < cfg.reduction_rank < min(partition.matrix.shape):
-        data = factorize_and_condense(partition, r=cfg.reduction_rank)
-    else:
-        data = condense_lossless(partition)
+    # the data matrix is made in a call of its own, so no raw stack that
+    # the data does not use is alive while assemble runs
+    data = _data_matrix(cfg, dataset)
     u_hi = np.minimum(dataset.inputs.max(axis=0), cfg.u_upper)
     control_cfg = DeePCConfig(
         t_ini=cfg.t_ini,

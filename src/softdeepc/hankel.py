@@ -11,8 +11,10 @@ condensed to r columns by the reduction module.
 The containers hold read-only arrays. An array a caller passes in is
 copied, so the caller's stays writable; one the package has just made
 (build_hankel's matrix, partition_past_future's stack, a condensed matrix)
-is taken as it is, so a stacked partition costs one copy of each Hankel
-and one of the stack.
+is taken as it is. build_hankel and stacked_hankel share one sliding-window
+copy, and stacked_hankel writes [Hu; Hy] straight into one writable array:
+the controller build copies the data once from the dataset to that stack,
+which the lossless condensation then factors in place.
 
 is_persistently_exciting certifies full row rank from the Gram matrix
 H H' (one symmetric product and one Cholesky factorization) and runs the
@@ -30,6 +32,7 @@ __all__ = [
     "BlockHankel",
     "HankelPartition",
     "build_hankel",
+    "stacked_hankel",
     "numerical_rank",
     "singular_value_rank",
     "is_persistently_exciting",
@@ -145,23 +148,57 @@ class BlockHankel:
         return self.matrix.shape[1]
 
 
+def _check_depth(signal: np.ndarray, depth: int) -> None:
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    if depth > len(signal):
+        raise ValueError(f"depth {depth} exceeds signal length {len(signal)}")
+
+
+def _write_hankel(out: np.ndarray, signal: np.ndarray, depth: int) -> None:
+    """Write the depth-L block Hankel matrix of a (T, d) signal into out.
+
+    out is a C-ordered (depth * d, T - depth + 1) array, or a block of
+    whole rows of one. windows[j, c, i] = signal[j + i, c]; row i*d + c of
+    column j holds it, so one copy of the (depth, d, cols) view fills out.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(signal, depth, axis=0)
+    out.reshape(depth, signal.shape[1], -1)[...] = windows.transpose(2, 1, 0)
+
+
 def build_hankel(signal, depth: int) -> BlockHankel:
     """Arrange a (T, d) signal into its depth-L block Hankel matrix.
 
     Column j stacks samples j .. j+L-1; time-major row ordering.
     """
     arr = _as_signal(signal)
+    _check_depth(arr, depth)
     T, d = arr.shape
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if depth > T:
-        raise ValueError(f"depth {depth} exceeds signal length {T}")
-    cols = T - depth + 1
-    # windows[j, c, i] = arr[j + i, c]; row i*d + c of column j holds it, so
-    # one C-ordered copy of the (depth, d, cols) view is the matrix
-    windows = np.lib.stride_tricks.sliding_window_view(arr, depth, axis=0)
-    matrix = np.array(windows.transpose(2, 1, 0), order="C").reshape(depth * d, cols)
+    matrix = np.empty((depth * d, T - depth + 1))
+    _write_hankel(matrix, arr, depth)
     return BlockHankel(matrix=_Made(matrix), signal_dim=d, depth=depth)
+
+
+def stacked_hankel(inputs, outputs, depth: int) -> np.ndarray:
+    """[Hu; Hy], the depth-L Hankels of inputs over outputs, in one new array.
+
+    Both Hankels are written straight into one writable C-ordered
+    (depth * (m + p), T - depth + 1) array, with no copy of either on its
+    own; it equals partition_past_future(build_hankel(inputs, depth),
+    build_hankel(outputs, depth), ...).matrix.
+    """
+    u, y = _as_signal(inputs), _as_signal(outputs)
+    if len(u) != len(y):
+        raise ValueError(
+            f"inputs ({len(u)} samples) and outputs ({len(y)} samples) "
+            f"must have identical length"
+        )
+    _check_depth(u, depth)
+    split = depth * u.shape[1]
+    stack = np.empty((split + depth * y.shape[1], len(u) - depth + 1))
+    _write_hankel(stack[:split], u, depth)
+    _write_hankel(stack[split:], y, depth)
+    return stack
 
 
 def numerical_rank(matrix: np.ndarray) -> int:

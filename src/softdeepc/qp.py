@@ -24,11 +24,14 @@ factored again shifted by delta = 1e-9, and only then are its solves refined
 against the block itself. A singular P, or a block whose shifted
 factorization fails too, takes a regularized KKT solve instead.
 
-Construction reads P in one finiteness check and one exact-symmetry check,
-and then does one Cholesky factorization (dpotrf), one triangular solve with
-the rows as right-hand sides (dtrsm) and one symmetric product X'X. P and its
-factor share one n x n buffer: dpotrf writes U over the upper triangle and
-leaves the strict lower one, which still holds P, and the solver keeps
+Construction reads P in one pass over square tiles, which checks that it is
+finite and exactly symmetric with no n x n temporary, and proves full row
+rank of the equality rows from their Gram matrix (an SVD runs only when that
+fails). It then does one Cholesky factorization (dpotrf), one triangular
+solve with the rows as right-hand sides (dtrsm) and one symmetric product
+X'X. P and its factor share one n x n buffer: dpotrf writes U over the
+upper triangle and leaves the strict lower one, which still holds P, and
+the solver keeps
 diag(P) as n floats. The buffer is a P handed over as hankel._Made (no copy
 at all), the symmetric part of a nearly symmetric P, or one copy of a
 caller's exactly symmetric P, which stays as it was. X is n x rows, and the
@@ -83,7 +86,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.blas import dsymv, dtrsm, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .hankel import _Made, singular_value_rank
+from .hankel import _gram_certifies, _Made, singular_value_rank
 from .reduction import left_singular
 
 __all__ = ["QpSolution", "QpSolver"]
@@ -124,6 +127,32 @@ def _stacked_rows(A_eq, A_in, n):
     return rows, *counts
 
 
+# _symmetric reads P in square tiles of this many rows and columns, so its
+# checks make no n x n temporary
+_TILE = 256
+
+
+def _finite_and_exactly_symmetric(P):
+    """Whether a square P equals P' exactly; ValueError if P is not finite.
+
+    Each tile above the diagonal is compared with its mirror tile, and a
+    tile equal to its finite mirror is finite too. So every entry is read
+    at most twice, and the largest temporary is one tile's boolean mask.
+    """
+    n = P.shape[0]
+    symmetric = True
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper, lower = P[i : i + _TILE, j : j + _TILE], P[j : j + _TILE, i : i + _TILE].T
+            if symmetric and (upper == lower).all():
+                _finite(upper, "P")
+            else:
+                symmetric = False
+                _finite(upper, "P")
+                _finite(lower, "P")
+    return symmetric
+
+
 def _symmetric(P, made):
     """A writable C-ordered buffer holding a finite square P or its symmetric part.
 
@@ -134,7 +163,7 @@ def _symmetric(P, made):
     the asymmetry, which must be within 1e-10 of max |P|, and its buffer
     then receives 0.5 (P + P').
     """
-    if (P == P.T).all():
+    if _finite_and_exactly_symmetric(P):
         if made and P.flags.c_contiguous and P.flags.writeable:
             return P
         return np.array(P, order="C")
@@ -269,7 +298,7 @@ class QpSolver:
             raise ValueError(f"seed_shift must be >= 0, got {seed_shift}")
         # C-ordered, so that its transpose is an F-ordered view that
         # LAPACK factors in place
-        P = _symmetric(_finite(P, "P"), made)
+        P = _symmetric(P, made)
         self.n = P.shape[0]
         # [A_eq; A_in] is the solver's one copy of the constraint rows: the
         # certifier reads A z off it in one product, and A_eq and A_in are
@@ -281,10 +310,12 @@ class QpSolver:
         # the equality rows the active-set solve works with: A_eq itself, or
         # W_r' A_eq when A_eq has dependent rows, with W_r an orthonormal
         # basis of range(A_eq). The basis and the largest singular value are
-        # kept only then: otherwise every b_eq is consistent.
+        # kept only then: otherwise every b_eq is consistent. The Gram
+        # certificate proves full row rank without an SVD, which runs only
+        # when it fails.
         self._eq_range = None
         self._rows_kkt = self._rows
-        if self.n_e:
+        if self.n_e and not _gram_certifies(self.A_eq):
             W, s = left_singular(self.A_eq)
             rank = singular_value_rank(s, self.A_eq.shape)
             if rank < self.n_e:

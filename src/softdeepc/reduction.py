@@ -23,8 +23,14 @@ Only W and s are needed, so the right factor is never formed, and a wide
 stack (more columns than rows, the usual case) is reduced to the triangle
 R' of the same QR first: the SVD of R' has the same W and s.
 
-A condensed matrix is made here and handed to HankelPartition without a
-further copy.
+The QR runs in place on a writable C-ordered array: the transpose is the
+F-ordered array geqrf overwrites, so neither LAPACK's workspace query nor
+the factorization copies it. condense_stack factors the stack that
+hankel.stacked_hankel has just made, handed over as hankel._Made, with no
+copy at all; this is the default controller build. condense_lossless and
+factorize_and_condense copy a partition's read-only matrix once and leave
+it as it was. A condensed matrix is made here and handed to HankelPartition
+without a further copy.
 """
 
 import dataclasses
@@ -36,15 +42,27 @@ from scipy.linalg import qr
 # the benchmark tracer wraps reduction.numerical_rank.
 from .hankel import HankelPartition, _Made, numerical_rank, singular_value_rank  # noqa: F401
 
-__all__ = ["select_rank", "condense_lossless", "factorize_and_condense"]
+__all__ = ["select_rank", "condense_lossless", "condense_stack", "factorize_and_condense"]
 
 
-def _qr_triangle(matrix: np.ndarray) -> np.ndarray:
+def _qr_triangle(matrix) -> np.ndarray:
     """R' of the QR factorization matrix' = Q R, min(shape) columns.
 
-    matrix = R' Q' with Q orthonormal. The matrix must be finite.
+    matrix = R' Q' with Q orthonormal. The matrix must be finite. A writable
+    C-ordered float matrix handed over as hankel._Made is factored in place
+    and holds Householder data afterwards; any other matrix is copied once
+    and left as it was. Either way geqrf gets the F-ordered transpose of a
+    writable C-ordered array, so neither the workspace query nor the
+    factorization copies it (a frozen array is never the target: f2py
+    overwrites an F-ordered array even when it is read-only).
     """
-    return qr(matrix.T, mode="raw", check_finite=False)[1].T
+    made = isinstance(matrix, _Made)
+    if made:
+        matrix = matrix.take()
+    if not (made and matrix.dtype == float and matrix.flags.c_contiguous
+            and matrix.flags.writeable):
+        matrix = np.array(matrix, dtype=float, order="C")
+    return qr(matrix.T, mode="raw", overwrite_a=True, check_finite=False)[1].T
 
 
 def left_singular(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,10 +103,25 @@ def condense_lossless(partition: HankelPartition) -> HankelPartition:
 
     Keeps min(rows, columns) columns, the row layout of the partition, and
     no singular values. With lambda_g > 0 a controller on it solves the same
-    problem as one on the raw partition.
+    problem as one on the raw partition. The partition's matrix is copied
+    once and left as it was.
     """
     return dataclasses.replace(partition, matrix=_Made(_qr_triangle(partition.matrix)),
                                condensed=True)
+
+
+def condense_stack(stack: _Made, input_dim: int, output_dim: int, t_ini: int,
+                   horizon: int) -> HankelPartition:
+    """condense_lossless of the partition [Up; Uf; Yp; Yf] = stack, factored in place.
+
+    The stack is a hankel.stacked_hankel array handed over as hankel._Made,
+    so no copy of it is made: the QR overwrites it, and only the triangle
+    R' is kept. The result equals condense_lossless of the partition with
+    that matrix and layout.
+    """
+    return HankelPartition(matrix=_Made(_qr_triangle(stack)), input_dim=input_dim,
+                           output_dim=output_dim, t_ini=t_ini, horizon=horizon,
+                           condensed=True)
 
 
 def factorize_and_condense(partition: HankelPartition, r: int | None = None,

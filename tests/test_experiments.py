@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -214,9 +215,28 @@ class TestBuildController:
         tpl = build_controller(cfg, dataset).template
         stack = np.vstack([tpl.Up, tpl.Uf, tpl.Yp, tpl.Yf])
         assert tpl.condensed and stack.shape == (6 * depth, 6 * depth)
-        # the only SVD is the solver's, of the 18 history-input rows
-        assert shapes == [(3 * cfg.t_ini, 3 * cfg.t_ini)]
+        # the QR condenses and the Gram certificates prove the ranks: no SVD
+        assert shapes == []
         np.testing.assert_array_equal(stack, condense_lossless(partition).matrix)
+
+    def test_default_build_holds_one_stack(self):
+        # the stack [Hu; Hy] (300 x 1451 doubles here, 3.48 MB) is written
+        # once and condensed in place, so the build peaks at about 1.25
+        # stacks above its start: the stack and the triangle the QR returns.
+        # Separate Hankels, their stack and the QR's own copies peaked at
+        # about 3.0 stacks.
+        cfg = ExperimentConfig()
+        dataset = collect_dataset(cfg, seed=0)
+        depth = cfg.t_ini + cfg.horizon
+        stack_bytes = 6 * depth * (dataset.length - depth + 1) * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            build_controller(cfg, dataset)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * stack_bytes
 
     @pytest.mark.parametrize("rank", [84, 10_000])
     def test_rank_from_the_row_count_up_is_lossless(self, rank):

@@ -15,6 +15,7 @@ from softdeepc.hankel import (
     numerical_rank,
     partition_past_future,
     representability_residual,
+    stacked_hankel,
 )
 
 
@@ -339,6 +340,39 @@ class TestPartition:
         H = build_hankel(u, 10)
         with pytest.raises(ValueError, match="t_ini"):
             partition_past_future(H, H, t_ini=0, horizon=10)
+
+
+class TestStackedHankel:
+    @pytest.mark.parametrize("m, p, t_ini, horizon, T",
+                             [(1, 1, 3, 4, 40), (3, 3, 20, 30, 300), (2, 1, 5, 2, 60)],
+                             ids=["one_channel", "shipped_shape", "mixed"])
+    def test_bit_identical_to_the_partition_stack(self, m, p, t_ini, horizon, T):
+        rng = np.random.default_rng(m * 10 + p)
+        u, y = rng.standard_normal((T, m)), rng.standard_normal((T, p))
+        depth = t_ini + horizon
+        stack = stacked_hankel(u, y, depth)
+        part = partition_past_future(build_hankel(u, depth), build_hankel(y, depth),
+                                     t_ini, horizon)
+        assert stack.shape == part.matrix.shape
+        assert stack.tobytes() == part.matrix.tobytes()
+        # a new array the caller may overwrite: the lossless QR factors it
+        # in place
+        assert stack.flags.c_contiguous and stack.flags.writeable
+        assert not np.shares_memory(stack, u) and not np.shares_memory(stack, y)
+
+    def test_one_dimensional_signals(self):
+        u, y = np.arange(6.0), 10.0 * np.arange(6.0)
+        np.testing.assert_array_equal(
+            stacked_hankel(u, y, 2),
+            np.vstack([naive_hankel(u, 2), naive_hankel(y, 2)]))
+
+    def test_lengths_and_depth_validated(self):
+        with pytest.raises(ValueError, match="identical length"):
+            stacked_hankel(np.zeros(10), np.zeros(9), 3)
+        with pytest.raises(ValueError, match="depth"):
+            stacked_hankel(np.zeros(4), np.zeros(4), 5)
+        with pytest.raises(ValueError, match="depth"):
+            stacked_hankel(np.zeros(4), np.zeros(4), 0)
 
 
 class TestRepresentability:

@@ -177,6 +177,31 @@ class TestProblemValidation:
         np.testing.assert_array_equal(P, before)
         np.testing.assert_array_equal(solver._hessian(), before)
 
+    @pytest.mark.parametrize("where", [(0, 0), (299, 0), (0, 299), (299, 299), (260, 10)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_nonfinite_P_rejected_in_every_tile(self, where, bad, mirrored):
+        # 300 columns span two tiles per side of the tiled check
+        P = self.spd(300, 7)
+        P[where] = bad
+        if mirrored:
+            P[where[::-1]] = bad
+        with pytest.raises(ValueError, match="^P must be finite"):
+            QpSolver(P)
+
+    def test_made_P_spanning_tiles_factored_in_place(self):
+        P = self.spd(300, 9)
+        assert np.shares_memory(QpSolver(_Made(P))._PU, P)
+
+    def test_asymmetry_found_past_the_first_tile(self):
+        P = self.spd(300, 8)
+        P[10, 280] += 1e-13 * abs(P).max()
+        solver = QpSolver(P)
+        np.testing.assert_array_equal(solver._hessian(), 0.5 * (P + P.T))
+        P[10, 280] += 1.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            QpSolver(P)
+
     @pytest.mark.parametrize("name", ["P", "A_eq", "A_in"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_matrix_rejected(self, name, bad):
@@ -952,8 +977,9 @@ class TestSolveCost:
 
     def test_construction_copies_no_handed_over_P(self):
         # a handed-over P is factored in place: construction makes no n x n
-        # array of floats (about 0.23 n^2 doubles: the symmetry check's
-        # booleans and the whitened rows; 1.23 with a copy)
+        # array of floats (about 0.23 n^2 doubles: the stacked and the
+        # whitened rows; 1.23 with a copy). P is checked in tiles, so no
+        # n x n boolean array is made either
         n = 600
         prob = random_strictly_convex(np.random.default_rng(84), n=n, n_e=20, n_i=40)
         assert self.construction_peak(_Made(prob.P.copy()), prob) < 0.5 * n * n * 8

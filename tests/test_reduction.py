@@ -11,11 +11,18 @@ from softdeepc.config import ExperimentConfig
 from softdeepc.controller import DeePCConfig, assemble, step
 from softdeepc.hankel import (
     HankelPartition,
+    _Made,
     build_hankel,
     numerical_rank,
     partition_past_future,
+    stacked_hankel,
 )
-from softdeepc.reduction import condense_lossless, factorize_and_condense, select_rank
+from softdeepc.reduction import (
+    condense_lossless,
+    condense_stack,
+    factorize_and_condense,
+    select_rank,
+)
 
 
 def make_partition(m=2, p=1, t_ini=4, horizon=6, T=80, seed=0, plant=None):
@@ -354,6 +361,41 @@ class TestLosslessCondensation:
         gram = stack @ stack.T
         np.testing.assert_allclose(cond.matrix @ cond.matrix.T, gram, rtol=0,
                                    atol=1e-12 * np.abs(gram).max())
+
+    def test_caller_partition_left_as_it_was(self):
+        part = make_partition(seed=23)
+        before = part.matrix.tobytes()
+        condense_lossless(part)
+        assert part.matrix.tobytes() == before
+        assert not part.matrix.flags.writeable
+
+    @pytest.mark.parametrize("T", [200, 30], ids=["wide", "tall"])
+    def test_handed_over_stack_factored_in_place(self, T):
+        rng = np.random.default_rng(24)
+        u, y = rng.standard_normal((T, 2)), rng.standard_normal((T, 1))
+        layout = dict(input_dim=2, output_dim=1, t_ini=4, horizon=6)
+        stack = stacked_hankel(u, y, 10)
+        raw = stack.copy()
+        cond = condense_stack(_Made(stack), **layout)
+        # the QR overwrote the stack itself: no copy of it was factored
+        assert not np.array_equal(stack, raw)
+        expected = condense_lossless(HankelPartition(matrix=raw, **layout))
+        assert cond.matrix.tobytes() == expected.matrix.tobytes()
+        assert cond.condensed and cond.singular_values is None
+        assert (cond.t_ini, cond.horizon) == (4, 6)
+
+    def test_handed_over_read_only_stack_is_copied(self):
+        # f2py's geqrf would overwrite an F-ordered array even when it is
+        # read-only, so a frozen stack is never the target
+        rng = np.random.default_rng(25)
+        stack = stacked_hankel(rng.standard_normal((60, 1)), rng.standard_normal((60, 1)), 10)
+        stack.flags.writeable = False
+        raw = stack.copy()
+        cond = condense_stack(_Made(stack), input_dim=1, output_dim=1, t_ini=4, horizon=6)
+        np.testing.assert_array_equal(stack, raw)
+        expected = condense_lossless(HankelPartition(matrix=raw, input_dim=1, output_dim=1,
+                                                     t_ini=4, horizon=6))
+        assert cond.matrix.tobytes() == expected.matrix.tobytes()
 
     @pytest.mark.parametrize("n, t_ini, horizon, full_row_rank",
                              [(6, 2, 3, True), (2, 3, 6, False)],
