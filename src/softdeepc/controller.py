@@ -13,15 +13,23 @@ the slack off entirely and enforces Yp g = y_ini as a hard equality.
 
 The data is one HankelPartition, raw (g has one entry per data window) or
 condensed (g has r entries); only the column count differs.
+
+With lambda_g = 0 the problem reads g only through the data matrix H, so
+raw data is condensed at the numerical rank of H (g = V1 h), which loses
+nothing, and the cost gets rho ||A_eq h||^2 on top, A_eq the equality rows
+and rho = trace(P) / ||A_eq||_F^2. On the feasible set that term is the
+constant rho ||b_eq||^2, so the plan stays as it is, and it makes the
+reduced P positive definite whenever the weights fix the plan.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hankel import HankelPartition, _Made
+from .hankel import HankelPartition, _Made, numerical_rank, singular_value_rank
 from .qp import QpSolution, QpSolver
+from .reduction import left_singular
 
 __all__ = [
     "DeePCConfig",
@@ -160,7 +168,10 @@ class DeePCStepResult:
     solution is the QpSolution the solve returned, as it is: its z_star is
     the decision vector g (one entry per data column, raw or condensed), and
     its status, path, KKT residual, iterations and sweeps are the step's
-    solver report. objective is the DeePC cost of the plan, not the QP's.
+    solver report. With lambda_g = 0, z_star is the reduced coordinate h of
+    the data condensed at its numerical rank, and template.Uf @ z_star gives
+    the planned inputs. objective is the DeePC cost of the plan, not the
+    QP's.
     """
 
     optimal_inputs: np.ndarray      # (horizon, m)
@@ -180,7 +191,9 @@ class DeePCTemplate:
     evaluated on the plan with the per-step Q and R, so no horizon-sized
     weight matrix is kept. The cost matrix P is built here and handed over
     to the solver, which factors it in place: the solver's one n x n array
-    holds both, and the template keeps no P (solver._hessian() rebuilds it).
+    holds both, and the template keeps no P. With lambda_g = 0 it keeps the
+    data condensed at its numerical rank (module docstring) and raises
+    ValueError when the plan is not unique.
     """
 
     def __init__(self, config: DeePCConfig, data: HankelPartition):
@@ -192,13 +205,19 @@ class DeePCTemplate:
                 f"match config (t_ini={config.t_ini}, horizon={config.horizon})"
             )
         self.config = config
+        unregularized = config.lambda_g == 0.0
+        if unregularized:
+            if data.condensed:
+                raise ValueError(
+                    "lambda_g must be positive with condensed data: the condensed "
+                    "problem matches the raw one only when the regularizer keeps "
+                    "the raw optimum in the span of the data"
+                )
+            # condensed at the numerical rank r (module docstring): W1 diag(s1)
+            W, s = left_singular(data.matrix)
+            r = singular_value_rank(s, data.matrix.shape)
+            data = replace(data, matrix=_Made(W[:, :r] * s[:r]), condensed=True)
         self.condensed = data.condensed
-        if self.condensed and config.lambda_g == 0.0:
-            raise ValueError(
-                "lambda_g must be positive with condensed data: the condensed "
-                "problem matches the raw one only when the regularizer keeps "
-                "the raw optimum in the span of the data"
-            )
         self.m = data.input_dim
         self.p = data.output_dim
         self.Up = np.asarray(data.Up)
@@ -212,6 +231,8 @@ class DeePCTemplate:
         self.Q, Q_root = _weight_matrix(config.Q, self.p, "Q")
         self.R, R_root = _weight_matrix(config.R, self.m, "R")
         self.hard_history = math.isinf(config.lambda_y)
+        self._slack_cost = not self.hard_history and config.lambda_y > 0.0
+        self.A_eq = np.vstack([self.Up, self.Yp]) if self.hard_history else self.Up
 
         def per_step(root, block):
             """(2 W)^1/2 applied to each step's rows of block, W = root' root."""
@@ -219,13 +240,23 @@ class DeePCTemplate:
             return ((math.sqrt(2.0) * root) @ steps).reshape(-1, self.n_g)
 
         # P = Hw' Hw + 2 lambda_g I, with Hw stacking the weighted rows
-        # (2R)^1/2 Uf, (2Q)^1/2 Yf and (2 lambda_y)^1/2 Yp (a zero weight adds
-        # no rows). numpy runs Hw.T @ Hw as one SYRK, so P is exactly symmetric.
+        # (2R)^1/2 Uf, (2Q)^1/2 Yf, (2 lambda_y)^1/2 Yp and, with lambda_g = 0,
+        # rho^1/2 A_eq (a zero weight adds no rows). numpy runs Hw.T @ Hw as
+        # one SYRK, so P is exactly symmetric.
         blocks = [per_step(R_root, self.Uf), per_step(Q_root, self.Yf)]
-        if not self.hard_history and config.lambda_y > 0.0:
+        if self._slack_cost:
             blocks.append(math.sqrt(2.0 * config.lambda_y) * self.Yp)
+        if unregularized:
+            rho = sum(np.vdot(b, b) for b in blocks) / np.vdot(self.A_eq, self.A_eq)
+            blocks.append(math.sqrt(rho) * self.A_eq)
         Hw = np.vstack(blocks)
         del blocks
+        if unregularized and numerical_rank(Hw) < self.n_g:
+            raise ValueError(
+                "lambda_g = 0 needs weights Q, R and lambda_y that fix the plan "
+                "together with the equality rows, and these leave a direction "
+                "of the data free; make lambda_g or R positive"
+            )
         P = Hw.T @ Hw
         del Hw
         P[np.diag_indices(self.n_g)] += 2.0 * config.lambda_g
@@ -235,14 +266,8 @@ class DeePCTemplate:
         # product with the transpose of its last rows, [Yp; Yf] with a slack
         # cost and Yf without, so the step reads no other map of the data.
         self._plan_map = np.asarray(data.matrix)[self.m * t_ini :]
-        self._slack_cost = not self.hard_history and config.lambda_y > 0.0
         self._cost_rows = self._plan_map[self.m * N + (0 if self._slack_cost
                                                        else self.p * t_ini) :]
-
-        if self.hard_history:
-            self.A_eq = np.vstack([self.Up, self.Yp])
-        else:
-            self.A_eq = self.Up
 
         u_lo, u_hi = config.input_bounds(self.m)
         self.u_lower = u_lo

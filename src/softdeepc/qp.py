@@ -5,11 +5,12 @@
                 lower <= A_in z <= upper
 
 Method: active-set solves in the multiplier space, after the online
-active-set idea of qpOASES (Ferreau, Bock & Diehl, 2008). With P > 0 the
-equality rows are eliminated once, at construction, in whitened coordinates:
-with the Cholesky factor P = U'U and X = U^-T A' (A the equality rows over
-the bound rows), the Gram matrix is S = A P^-1 A' = X'X. The solver factors
-its equality block S_ee and keeps the Schur complement
+active-set idea of qpOASES (Ferreau, Bock & Diehl, 2008). P must be
+positive definite; the solver raises ValueError at construction otherwise.
+The equality rows are eliminated once, at construction, in whitened
+coordinates: with the Cholesky factor P = U'U and X = U^-T A' (A the
+equality rows over the bound rows), the Gram matrix is S = A P^-1 A' = X'X.
+The solver factors its equality block S_ee and keeps the Schur complement
 C = S_ii - S_ie S_ee^-1 S_ei of the bound rows. A solve then factors only
 blocks of C on the working set (the rows held at a bound), reads A_in z off
 the bound multipliers, and forms nu and z once at the end. Dependent equality
@@ -21,8 +22,9 @@ factored as it is, and an unshifted Cholesky solve, being backward stable,
 is used without refinement. A block whose factorization fails, or has a
 pivot below 1e-10 of its diagonal entry (a repeated row makes one), is
 factored again shifted by delta = 1e-9, and only then are its solves refined
-against the block itself. A singular P, or a block whose shifted
-factorization fails too, takes a regularized KKT solve instead.
+against the block itself. An S_ee whose shifted factorization fails too is
+an error at construction; a block of C that fails so ends the warm sweep,
+and ends the dual solve "inaccurate".
 
 Construction reads P in one pass over square tiles, which checks that it is
 finite and exactly symmetric with no n x n temporary, and proves full row
@@ -31,19 +33,17 @@ fails). It then does one Cholesky factorization (dpotrf), one triangular
 solve with the rows as right-hand sides (dtrsm) and one symmetric product
 X'X. P and its factor share one n x n buffer: dpotrf writes U over the
 upper triangle and leaves the strict lower one, which still holds P, and
-the solver keeps
-diag(P) as n floats. The buffer is a P handed over as hankel._Made (no copy
-at all), the symmetric part of a nearly symmetric P, or one copy of a
-caller's exactly symmetric P, which stays as it was. X is n x rows, and the
-stacked rows [A_eq; A_in] are the solver's one copy of the constraint
-matrices.
+the solver keeps diag(P) as n floats. The buffer is a P handed over as
+hankel._Made (no copy at all), the symmetric part of a nearly symmetric P,
+or one copy of a caller's exactly symmetric P, which stays as it was. X is
+n x rows, and the stacked rows [A_eq; A_in] are the solver's one copy of
+the constraint matrices.
 
-With P > 0 a solve copies no n-column array and reads each at most twice.
-The n x n data takes three level-2 BLAS passes: w = U^-T q and
-z = -U^-1 (w + X [nu; y]) are the two triangular solves on the cached
-factor, and the certifier's P z is one symmetric product on the lower
-triangle with the diagonal corrected from diag(U) to diag(P), which also
-gives the objective. X takes two products, X'w and X [nu; y]; the stacked rows
+A solve copies no n-column array and reads each at most twice. The n x n
+data takes three level-2 BLAS passes: w = U^-T q and z = -U^-1 (w + X [nu; y])
+are the two triangular solves on the cached factor, and the certifier's P z
+is one symmetric product on the lower triangle with the diagonal corrected
+from diag(U) to diag(P), which also gives the objective. X takes two products, X'w and X [nu; y]; the stacked rows
 take one for A z, and A_eq and A_in one each for the certifier's gradient.
 The rest of the solve works on the small blocks.
 
@@ -65,8 +65,7 @@ unconstrained minimum (the empty working set), adds the pinned rows
 (lower == upper), then adds the most violated row at each step with the
 primal-dual step length, dropping a row whose multiplier reaches zero on
 the way. It ends in a finite number of working-set changes, and reports
-the problem infeasible when no step can reduce a violation. A singular P
-keeps the sweep, from the seed or from the empty set.
+the problem infeasible when no step can reduce a violation.
 
 Every "optimal" result is certified by the KKT residual: the largest of
 the stationarity, equality, bound and complementarity residuals must be at
@@ -82,7 +81,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.blas import dsymv, dtrsm, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs
 
@@ -91,7 +89,7 @@ from .reduction import left_singular
 
 __all__ = ["QpSolution", "QpSolver"]
 
-_DELTA = 1e-9  # regularization of the block and KKT factorizations
+_DELTA = 1e-9  # the shift of a block whose own factorization fails
 _TOL_KKT = 1e-8  # a result certifies when its KKT residual is at most this
 _MAX_CHANGES = 20000  # cap on the dual solve's working-set changes
 # a row whose Schur complement pivot is below this share of its own Gram
@@ -224,12 +222,11 @@ class QpSolution:
 
     path names how the result was reached: "warm" when the sweep from the
     shifted working set of the previous certified solve certified, "cold"
-    when the solve from the empty working set certified (the dual solve, or
-    the sweep for a singular P), and "uncertified" when status is not
-    "optimal". iterations counts the dual solve's working-set changes, so it
-    is 0 on the warm path; sweeps counts active-set sweeps over all attempts
-    in the solve. With P > 0 only the warm try sweeps, so a "cold" result
-    with sweeps > 0 followed a warm try that did not certify.
+    when the dual solve from the empty working set certified, and
+    "uncertified" when status is not "optimal". iterations counts the dual
+    solve's working-set changes, so it is 0 on the warm path; sweeps counts
+    the warm try's active-set sweeps, so a "cold" result with sweeps > 0
+    followed a warm try that did not certify.
     """
 
     z_star: np.ndarray
@@ -276,11 +273,14 @@ def _finite(x, name):
 class QpSolver:
     """Solver bound to fixed (P, A_eq, A_in); q, b_eq and bounds vary per solve.
 
-    Construction factors P, eliminates the equality rows and keeps the Schur
-    complement of the bound rows, so each solve of a receding-horizon loop
-    factors only small working-set blocks. P may be handed over as
-    hankel._Made: the solver then factors that array in place and empties
-    the wrapper. A caller's plain P is copied once and left as it was.
+    Construction factors P, which must be positive definite, eliminates the
+    equality rows and keeps the Schur complement of the bound rows, so each
+    solve of a receding-horizon loop factors only small working-set blocks.
+    A P whose Cholesky factorization fails, or equality rows whose Gram
+    block does not factor even shifted, raise ValueError. P may be handed
+    over as hankel._Made: the solver then factors that array in place and
+    empties the wrapper. A caller's plain P is copied once and left as it
+    was.
     Each solve first sweeps from the working set of the last certified one.
     With seed_shift > 0 that set is first moved forward by seed_shift rows,
     the last seed_shift rows repeating the ones before them, unless the step
@@ -314,58 +314,50 @@ class QpSolver:
         # certificate proves full row rank without an SVD, which runs only
         # when it fails.
         self._eq_range = None
-        self._rows_kkt = self._rows
+        rows = self._rows
         if self.n_e and not _gram_certifies(self.A_eq):
             W, s = left_singular(self.A_eq)
             rank = singular_value_rank(s, self.A_eq.shape)
             if rank < self.n_e:
                 self._eq_range = (W[:, :rank], s[0])
-                self._rows_kkt = np.vstack([W[:, :rank].T @ self.A_eq,
-                                            self._rows[self.n_e :]])
-        self._n_e_solve = self._rows_kkt.shape[0] - self.n_i
+                rows = np.vstack([W[:, :rank].T @ self.A_eq, self._rows[self.n_e :]])
+        self._n_e_solve = k = rows.shape[0] - self.n_i
 
         # Schur complement of the bound rows in the Gram matrix A P^-1 A',
         # in whitened coordinates: with P = U'U and X = U^-T A', the Gram
-        # matrix is S = X'X. T = S_ee^-1 S_ei and C = S_ii - S_ie T. Needs
-        # P > 0 and S_ee > 0; otherwise every sweep takes the KKT solve and
-        # there is no dual solve. dpotrf factors the F-ordered view P.T,
-        # equal to P, in place: U over its upper triangle (partly written
-        # when the factorization fails), P left in its strict lower one,
-        # which the certifier and _hessian read with the kept diag(P).
-        self._C = None
+        # matrix is S = X'X. T = S_ee^-1 S_ei and C = S_ii - S_ie T. dpotrf
+        # factors the F-ordered view P.T, equal to P, in place: U over its
+        # upper triangle, P left in its strict lower one, which the
+        # certifier reads with the kept diag(P).
         self._diag_P = P.diagonal().copy()
         U, info = dpotrf(P.T, lower=0, clean=0, overwrite_a=1)
+        if info:
+            raise ValueError("P must be positive definite: its Cholesky "
+                             f"factorization fails at column {info}")
         U.flags.writeable = False
         self._PU = U
         self._diag_gap = self._diag_P - U.diagonal()
-        if not info:
-            X = dtrsm(1.0, U, self._rows_kkt.T, lower=0, trans_a=1)
-            S = X.T @ X
-            k = self._n_e_solve
-            S_ee, S_ei, S_ii = S[:k, :k], S[:k, k:], S[k:, k:]
-            c_ee = _spd_factor(S_ee)
-            if c_ee is not None:
-                T = _spd_solve(S_ee, c_ee, S_ei)
-                C = S_ii - S_ei.T @ T
-                self._S_ee, self._c_ee = S_ee, c_ee
-                self._S_ie = np.ascontiguousarray(S_ei.T)
-                self._T = T
-                self._C = 0.5 * (C + C.T)
-                self._X = X
-                self._pivot_min = _DEPENDENT * np.diag(S_ii)
+        X = dtrsm(1.0, U, rows.T, lower=0, trans_a=1)
+        S = X.T @ X
+        S_ee, S_ei, S_ii = S[:k, :k], S[:k, k:], S[k:, k:]
+        c_ee = _spd_factor(S_ee)
+        if c_ee is None:
+            raise ValueError("the equality rows' Gram matrix A_eq P^-1 A_eq' "
+                             "does not factor, even shifted")
+        T = _spd_solve(S_ee, c_ee, S_ei)
+        C = S_ii - S_ei.T @ T
+        self._S_ee, self._c_ee = S_ee, c_ee
+        self._S_ie = np.ascontiguousarray(S_ei.T)
+        self._T = T
+        self._C = 0.5 * (C + C.T)
+        self._X = X
+        self._pivot_min = _DEPENDENT * np.diag(S_ii)
 
         # the working set (rows held at lower, rows held at upper) of the
         # last certified solve, and the one before it
         self._working_set = self._previous_set = None
 
     # ---------------- residual bookkeeping ----------------
-
-    def _hessian(self):
-        """P, rebuilt from the shared buffer's strict lower triangle and diag(P)."""
-        L = np.tril(self._PU, -1)
-        P = L + L.T
-        P[np.diag_indices(self.n)] = self._diag_P
-        return P
 
     def _kkt_residual(self, z, nu, y, q, b_eq, lower, upper, bound_mag):
         """(KKT residual, objective) at z.
@@ -452,7 +444,7 @@ class QpSolver:
         return self._shifted(current)
 
     def _reduced(self, q, b_e):
-        """(w, nu0, r) on the Schur complement, or Nones for a singular P.
+        """(w, nu0, r) on the Schur complement.
 
         w = U^-T q, so that A P^-1 q = X'w, one product over X; nu0 are the
         equality multipliers with no bound row held, from the factor of S_ee
@@ -462,45 +454,34 @@ class QpSolver:
         (P = U'U), each reading its triangle in place from the F-ordered
         array.
         """
-        if self._C is None:
-            return None, None, None
         k_e = self._n_e_solve
         w = dtrsv(self._PU, q, trans=1)
         a = self._X.T @ w
         nu0 = _spd_solve(self._S_ee, self._c_ee, -a[:k_e] - b_e)
         return w, nu0, -a[k_e:] - self._S_ie @ nu0
 
-    def _hold(self, q, b_e, r, act, h):
-        """Hold the rows act at h: (y, A_in z, (z, nu) or None).
+    def _hold(self, r, act, h):
+        """Hold the rows act at h: (y, A_in z), or None.
 
-        On the Schur complement, y comes from the factor of the block
-        C[act, act]. A singular P, or a block whose factorization fails,
-        takes the KKT solve, which returns z and nu as well.
+        y comes from the factor of the block C[act, act], and A_in z is
+        r - C y. None when the block does not factor, even shifted.
         """
+        C_aa = self._C[act[:, None], act]
+        cC = _spd_factor(C_aa)
+        if cC is None:
+            return None
         y = np.zeros(self.n_i)
-        C = self._C
-        cC = None
-        if C is not None:
-            C_aa = C[act[:, None], act]
-            cC = _spd_factor(C_aa)
-        if cC is not None:
-            y[act] = _spd_solve(C_aa, cC, r[act] - h)
-            return y, r - C @ y, None
-        z, nu, y[act] = self._kkt_solve(q, b_e, act, h)
-        return y, self._rows[self.n_e :] @ z, (z, nu)
+        y[act] = _spd_solve(C_aa, cC, r[act] - h)
+        return y, r - self._C @ y
 
-    def _primal(self, w, nu0, y, kkt):
+    def _primal(self, w, nu0, y):
         """(z, nu) for the bound multipliers y, or None if not finite.
 
-        kkt is what _hold returned; without it z and nu come from the Schur
-        complement: nu = nu0 - T y and z = -P^-1 (q + A_e' nu + A_i' y), which
-        is -U^-1 (w + X [nu; y]), one product and one triangular solve.
+        nu = nu0 - T y and z = -P^-1 (q + A_e' nu + A_i' y), which is
+        -U^-1 (w + X [nu; y]), one product and one triangular solve.
         """
-        if kkt is None:
-            nu = nu0 - self._T @ y
-            z = -dtrsv(self._PU, w + self._X @ np.concatenate([nu, y]), overwrite_x=1)
-        else:
-            z, nu = kkt
+        nu = nu0 - self._T @ y
+        z = -dtrsv(self._PU, w + self._X @ np.concatenate([nu, y]), overwrite_x=1)
         if not (np.isfinite(z).all() and np.isfinite(nu).all()):
             return None
         if self._eq_range is not None:
@@ -518,7 +499,8 @@ class QpSolver:
         the set stops changing. On the Schur complement a sweep solves for
         the bound multipliers alone and reads A_in z off them. A sweep is a
         fixed map of the working set, so a set seen before means the sweeps
-        cycle: they stop there, as they do after max_sweeps. Returns
+        cycle: they stop there, as they do after max_sweeps. A block that
+        does not factor ends the sweeps with no result. Returns
         ((z, nu_eq, y, low, up) or None, sweeps); the caller certifies the
         result, so a bad outcome is merely discarded.
         """
@@ -530,9 +512,10 @@ class QpSolver:
         seen = {low.tobytes() + up.tobytes()}
         for sweep in range(1, max_sweeps + 1):
             act = (low | up).nonzero()[0]
-            y, Az, kkt = self._hold(q, b_e, r, act, np.where(low, lower, upper)[act])
-            if not np.isfinite(y).all():
+            held = self._hold(r, act, np.where(low, lower, upper)[act])
+            if held is None or not np.isfinite(held[0]).all():
                 return None, sweep
+            y, Az = held
 
             scale = max(1.0, float(_amax(Az)))
             tol = 1e-11 * scale
@@ -545,7 +528,7 @@ class QpSolver:
             seen.add(key)
             low, up = new_low, new_up
 
-        primal = self._primal(w, nu0, y, kkt)
+        primal = self._primal(w, nu0, y)
         if primal is None:
             return None, sweep
         return (*primal, y, low, up), sweep
@@ -558,14 +541,14 @@ class QpSolver:
         above, -1 below) moves y along d: d[p] = s, and d on the held rows
         is the held-row solve for the cost s a_p, which keeps them at their
         bounds. Row p then closes its gap at the rate kappa = s (C d)[p], its
-        pivot in the Schur complement of the held block. Returns
+        pivot in the Schur complement of the held block. A held block that
+        does not factor ends the solve "inaccurate". Returns
         ((z, nu, y, low, up) or None, changes, the status if the result does
         not certify); a finished solve's multipliers are solved afresh on
         its final set.
         """
         w, nu0, r = self._reduced(q, b_e)
         C = self._C
-        zeros_e = np.zeros(self._n_e_solve)
         pinned = lower == upper
         y = np.zeros(self.n_i)
         # +1 held at the upper bound, -1 at the lower one (a pinned row
@@ -592,8 +575,11 @@ class QpSolver:
                     failure = "max_iterations"
                     break
                 act = np.flatnonzero(side)
-                d, dAz, _ = self._hold(s * self.A_in[p], zeros_e, -s * C[p], act,
-                                       np.zeros(len(act)))
+                held = self._hold(-s * C[p], act, np.zeros(len(act)))
+                if held is None:
+                    failure = "inaccurate"
+                    break
+                d, dAz = held
                 d[p] = s
                 kappa = -s * dAz[p]
                 # below this pivot p is a combination of the held rows
@@ -622,40 +608,14 @@ class QpSolver:
                 gap -= t_drop * kappa
 
         low, up = side < 0, side > 0
-        kkt = None
         if failure is None:
             act = np.flatnonzero(side)
-            y, _, kkt = self._hold(q, b_e, r, act, np.where(low, lower, upper)[act])
-        primal = self._primal(w, nu0, y, kkt)
+            held = self._hold(r, act, np.where(low, lower, upper)[act])
+            if held is not None:
+                y = held[0]
+        primal = self._primal(w, nu0, y)
         result = None if primal is None else (*primal, y, low, up)
         return result, changes, failure or "inaccurate"
-
-    def _kkt_solve(self, q, b_e, act, h):
-        """Regularized KKT solve with iterative refinement; returns (z, nu, y_act).
-
-        The path for singular P, and for blocks too ill-conditioned for a
-        Cholesky factorization. P is rebuilt for it (_hessian).
-        """
-        P = self._hessian()
-        k_e = self._n_e_solve
-        G = self._rows_kkt[np.concatenate([np.arange(k_e), k_e + act])]
-        k = len(G)
-        K = np.zeros((self.n + k, self.n + k))
-        K[: self.n, : self.n] = P + _DELTA * np.eye(self.n)
-        K[: self.n, self.n :] = G.T
-        K[self.n :, : self.n] = G
-        K[self.n :, self.n :] = -_DELTA * np.eye(k)
-        h = np.concatenate([b_e, h])
-        lu = lu_factor(K, check_finite=False)
-        sol = lu_solve(lu, np.concatenate([-q, h]), check_finite=False)
-        z, mult = sol[: self.n], sol[self.n :]
-        for _ in range(3):
-            r1 = -q - P @ z - G.T @ mult
-            r2 = h - G @ z
-            d = lu_solve(lu, np.concatenate([r1, r2]), check_finite=False)
-            z = z + d[: self.n]
-            mult = mult + d[self.n :]
-        return z, mult[:k_e], mult[k_e:]
 
     def solve(self, q, b_eq=None, lower=None, upper=None):
         """Solve for one (q, b_eq, lower, upper) on the bound matrices.
@@ -663,11 +623,11 @@ class QpSolver:
         The sweep from the shifted working set of the previous solve runs
         first, when that solve certified. Without such a set, or when its
         result does not certify, the dual solve runs from the empty set, at
-        most _MAX_CHANGES working-set changes (a singular P sweeps from the
-        empty set instead). A result is "optimal" when its KKT residual is
-        at most _TOL_KKT. q and b_eq must be finite, the bounds free of NaN,
-        with no lower bound at +inf and no upper bound at -inf. b_eq or
-        bounds given to a solver without such rows are an error.
+        most _MAX_CHANGES working-set changes. A result is "optimal" when its
+        KKT residual is at most _TOL_KKT. q and b_eq must be finite, the
+        bounds free of NaN, with no lower bound at +inf and no upper bound at
+        -inf. b_eq or bounds given to a solver without such rows are an
+        error.
         """
         q = _finite(_vec(q, self.n, "q"), "q")
         if self.n_e:
@@ -728,14 +688,9 @@ class QpSolver:
                 if certified:
                     return finish(result, kkt, objective, True, "warm", None)
 
-        empty = np.zeros(self.n_i, dtype=bool)
-        changes, failure = 0, "inaccurate"
-        if self._C is None:
-            result, cold_sweeps = self._active_set(q, b_e, lower, upper, empty, empty)
-            sweeps += cold_sweeps
-        else:
-            result, changes, failure = self._dual(q, b_e, lower, upper)
+        result, changes, failure = self._dual(q, b_e, lower, upper)
         if result is None:
+            empty = np.zeros(self.n_i, dtype=bool)
             result = (np.zeros(self.n), np.zeros(self.n_e), np.zeros(self.n_i),
                       empty, empty)
         return finish(result, *check(result), "cold", failure, changes)

@@ -54,7 +54,9 @@ def _qr_triangle(matrix) -> np.ndarray:
     and left as it was. Either way geqrf gets the F-ordered transpose of a
     writable C-ordered array, so neither the workspace query nor the
     factorization copies it (a frozen array is never the target: f2py
-    overwrites an F-ordered array even when it is read-only).
+    overwrites an F-ordered array even when it is read-only). R' is read off
+    the raw factor as one new C-ordered array, which HankelPartition keeps
+    without a copy.
     """
     made = isinstance(matrix, _Made)
     if made:
@@ -62,7 +64,9 @@ def _qr_triangle(matrix) -> np.ndarray:
     if not (made and matrix.dtype == float and matrix.flags.c_contiguous
             and matrix.flags.writeable):
         matrix = np.array(matrix, dtype=float, order="C")
-    return qr(matrix.T, mode="raw", overwrite_a=True, check_finite=False)[1].T
+    # only the raw factor is kept, so scipy's own copy of R is freed here
+    factor = qr(matrix.T, mode="raw", overwrite_a=True, check_finite=False)[0][0]
+    return np.tril(factor[: min(matrix.shape)].T)
 
 
 def left_singular(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

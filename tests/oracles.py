@@ -7,7 +7,8 @@ equations directly. The soft-arm reference steps one control period at a
 time on numpy 3-vectors, with its own least-squares bending inverse; it
 shares only the forward tip map with the package. The KKT-residual
 reference is the solver certifier's definition written out densely, one
-array operation per term.
+array operation per term. stored_cost_matrix reads P back out of a built
+solver, for tests of what the solver keeps.
 """
 
 import numpy as np
@@ -191,3 +192,15 @@ def kkt_residual_reference(P, A_eq, A_in, z, nu, y, q, b_eq, lower, upper):
 
     kkt = max(r_stat, r_eq, r_box, r_comp)
     return kkt, float(0.5 * z @ Pz + q @ z)
+
+
+def stored_cost_matrix(solver):
+    """P as a QpSolver keeps it, rebuilt from the buffer it shares with U.
+
+    The strict lower triangle of that buffer holds P off the diagonal, and
+    the solver keeps diag(P) on its own.
+    """
+    L = np.tril(solver._PU, -1)
+    P = L + L.T
+    P[np.diag_indices(solver.n)] = solver._diag_P
+    return P

@@ -6,7 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import collect_lti_dataset, model_mpc, random_minimal_lti, rollout
+from oracles import (collect_lti_dataset, model_mpc, random_minimal_lti, rollout,
+                     stored_cost_matrix)
 
 from softdeepc.controller import (
     DeePCConfig,
@@ -200,7 +201,7 @@ class TestAssemble:
                               + 7.0 * np.eye(K))
             if not math.isinf(lambda_y):
                 expected += 2.0 * lambda_y * part.Yp.T @ part.Yp
-            P = tpl.solver._hessian()
+            P = stored_cost_matrix(tpl.solver)
             np.testing.assert_allclose(P, expected, rtol=1e-12, err_msg=case)
             assert (P == P.T).all(), case
 
@@ -395,6 +396,45 @@ class TestReductionConsistency(ScenarioMixin):
             hist.push([0.0], [0.0])
         res = step(tpl_red, hist, np.zeros((8, 1)))
         assert res.solution.z_star.shape == (9,)
+
+
+class TestUnregularized(ScenarioMixin):
+    """lambda_g = 0: the raw data condensed at its numerical rank."""
+
+    def test_decision_vector_has_the_stack_rank(self):
+        rng, sys, part, tpl = self.build(seed=7, n=4, m=2, p=2, horizon=10,
+                                         T=200, u_lower=-1.0, u_upper=1.0)
+        rank = numerical_rank(part.matrix)
+        # noiseless data: the stack is rank deficient
+        assert rank < min(part.matrix.shape)
+        assert tpl.condensed and tpl.n_g == rank
+        u_hist, y_hist, _ = self.run_history(sys, rng, tpl.config.t_ini)
+        hist = tpl.make_history()
+        for u, y in zip(u_hist, y_hist):
+            hist.push(u, y)
+        res = step(tpl, hist, rng.standard_normal((10, 2)))
+        assert res.solution.status == "optimal"
+        assert res.solution.z_star.shape == (rank,)
+        np.testing.assert_allclose(res.optimal_inputs.reshape(-1),
+                                   tpl.Uf @ res.solution.z_star, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("horizon", [1, 6])
+    @pytest.mark.parametrize("lambda_y", [math.inf, 1e3])
+    def test_cost_with_a_free_direction_rejected(self, horizon, lambda_y):
+        # noisy data: the stack has full row rank, so with R = 0 neither the
+        # cost nor the equality rows fix Uf g, and the plan is not unique.
+        # With m = 1 and horizon = 1 that leaves one free direction, whose
+        # Cholesky pivot is round-off of either sign
+        rng = np.random.default_rng(37)
+        A, B, C, D = random_minimal_lti(rng, 3, 1, 1)
+        u, y = collect_lti_dataset(A, B, C, D, rng, 80)
+        part = make_partition(u, y + 0.01 * rng.standard_normal(y.shape), 4, horizon)
+        assert numerical_rank(part.matrix) == part.matrix.shape[0]
+        cfg = DeePCConfig(t_ini=4, horizon=horizon, R=0.0, lambda_g=0.0,
+                          lambda_y=lambda_y)
+        with pytest.raises(ValueError, match="lambda_g = 0.* R "):
+            assemble(cfg, part)
+        assert assemble(dataclasses.replace(cfg, R=0.1), part).n_g == part.matrix.shape[0]
 
 
 class TestClosedLoop(ScenarioMixin):

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import collect_lti_dataset, kkt_residual_reference, random_minimal_lti
+from oracles import (collect_lti_dataset, kkt_residual_reference, random_minimal_lti,
+                     stored_cost_matrix)
 
 from softdeepc import controller, experiments, qp
 from softdeepc.config import ExperimentConfig
@@ -129,7 +130,7 @@ class TestProblemValidation:
         P = np.eye(2)
         P[0, 1] = 1e-13
         solver = QpSolver(P)
-        np.testing.assert_array_equal(solver._hessian(), 0.5 * (P + P.T))
+        np.testing.assert_array_equal(stored_cost_matrix(solver), 0.5 * (P + P.T))
         assert P[0, 1] == 1e-13 and P[1, 0] == 0.0
 
     @staticmethod
@@ -146,7 +147,7 @@ class TestProblemValidation:
         assert P.tobytes() == before.tobytes()
         assert P.flags.writeable
         assert not np.shares_memory(solver._PU, P)
-        np.testing.assert_array_equal(solver._hessian(), before)
+        np.testing.assert_array_equal(stored_cost_matrix(solver), before)
 
     def test_made_P_factored_in_place(self):
         # the handed-over array becomes the factor's buffer: U over its upper
@@ -162,7 +163,7 @@ class TestProblemValidation:
         U, info = qp.dpotrf(before.T, lower=0, clean=1)
         assert info == 0
         np.testing.assert_array_equal(np.triu(solver._PU), U)
-        np.testing.assert_array_equal(solver._hessian(), before)
+        np.testing.assert_array_equal(stored_cost_matrix(solver), before)
         # the wrapper is emptied, so the array cannot reach a second owner
         with pytest.raises(ValueError, match="already handed over"):
             QpSolver(made)
@@ -175,7 +176,7 @@ class TestProblemValidation:
         solver = QpSolver(_Made(P))
         assert not np.shares_memory(solver._PU, P)
         np.testing.assert_array_equal(P, before)
-        np.testing.assert_array_equal(solver._hessian(), before)
+        np.testing.assert_array_equal(stored_cost_matrix(solver), before)
 
     @pytest.mark.parametrize("where", [(0, 0), (299, 0), (0, 299), (299, 299), (260, 10)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -197,7 +198,7 @@ class TestProblemValidation:
         P = self.spd(300, 8)
         P[10, 280] += 1e-13 * abs(P).max()
         solver = QpSolver(P)
-        np.testing.assert_array_equal(solver._hessian(), 0.5 * (P + P.T))
+        np.testing.assert_array_equal(stored_cost_matrix(solver), 0.5 * (P + P.T))
         P[10, 280] += 1.0
         with pytest.raises(ValueError, match="not symmetric"):
             QpSolver(P)
@@ -302,14 +303,20 @@ class TestBasicSolves:
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.z_star, [1.5, 1.5], atol=1e-8)
 
-    def test_psd_singular_cost(self):
-        # flat direction pinned by a bound: P singular but problem bounded.
-        # P has no Cholesky factor, so every sweep takes the KKT solve
-        sol = solve_once(np.diag([1.0, 0.0]), [0.0, 1.0],
-                         A_in=np.eye(2), lower=[-5.0, -1.0], upper=[5.0, 1.0])
-        assert sol.status == "optimal"
-        np.testing.assert_allclose(sol.z_star, [0.0, -1.0], atol=1e-7)
-        assert_dense_objective(sol, np.diag([1.0, 0.0]), [0.0, 1.0])
+    @pytest.mark.parametrize("P", [np.diag([1.0, 0.0]), np.ones((2, 2)),
+                                   np.diag([1.0, -1.0])],
+                             ids=["singular", "rank_one", "indefinite"])
+    def test_cost_that_is_not_positive_definite_rejected(self, P):
+        # singular (a flat direction, even one a bound would pin) or
+        # indefinite: P has no Cholesky factor, and the solver has no other
+        # solve path
+        with pytest.raises(ValueError, match="P must be positive definite"):
+            QpSolver(P, A_in=np.eye(2))
+
+    def test_equality_gram_that_does_not_factor_rejected(self, monkeypatch):
+        monkeypatch.setattr(qp, "_spd_factor", lambda S: None)
+        with pytest.raises(ValueError, match="does not factor"):
+            QpSolver(np.eye(2), A_eq=[[1.0, 1.0]])
 
 
 class TestOracleComparison:
@@ -680,25 +687,34 @@ class TestSchurSweep:
         TestWarmPath.oracle_check(sol, prob.P, prob.q, prob.A_eq, prob.b_eq,
                                   prob.A_in, prob.lower, prob.upper)
 
-    def test_failed_block_factorization_takes_kkt_solve(self, monkeypatch):
+    def test_failed_block_factorization_never_certifies(self, monkeypatch):
         prob = random_strictly_convex(np.random.default_rng(86), 10, 3, 8)
-        solver = QpSolver(prob.P, prob.A_eq, prob.A_in)
+        args = (prob.q, prob.b_eq, prob.lower, prob.upper)
+        warm, cold = (QpSolver(prob.P, prob.A_eq, prob.A_in) for _ in range(2))
+        first = warm.solve(*args)
+        assert first.status == "optimal"
+        assert np.count_nonzero(first.multipliers_in) >= 2
+        # from here on, blocks of two or more held rows fail to factor even
+        # shifted (S_ee was factored at construction); smaller ones still do
         factor = qp._spd_factor
-        kkt_rows = []
-        kkt_solve = solver._kkt_solve
-
-        def kkt_spy(q, b_e, act, h):
-            kkt_rows.append(len(act))
-            return kkt_solve(q, b_e, act, h)
-
-        # blocks of two or more active rows fail to factor; smaller ones
-        # still take the Schur complement, so a solve mixes both
         monkeypatch.setattr(qp, "_spd_factor",
                             lambda S: None if len(S) >= 2 else factor(S))
-        monkeypatch.setattr(solver, "_kkt_solve", kkt_spy)
-        sol = solver.solve(prob.q, prob.b_eq, prob.lower, prob.upper)
+        duals = []
+        dual = warm._dual
+        monkeypatch.setattr(warm, "_dual", lambda *a: duals.append(a) or dual(*a))
+        # the warm try ends at its first sweep and hands over to the dual
+        # solve, which ends "inaccurate" at the first such block
+        sol = warm.solve(*args)
+        assert (sol.status, sol.path, sol.sweeps) == ("inaccurate", "uncertified", 1)
+        assert len(duals) == 1
+        # without a seed the dual solve alone ends the same way
+        sol = cold.solve(*args)
+        assert (sol.status, sol.path, sol.sweeps) == ("inaccurate", "uncertified", 0)
+        # an uncertified result seeds nothing: once blocks factor again, the
+        # next solve runs cold and certifies
+        monkeypatch.setattr(qp, "_spd_factor", factor)
+        sol = warm.solve(*args)
         assert (sol.status, sol.path) == ("optimal", "cold")
-        assert kkt_rows and max(kkt_rows) >= 2
         TestWarmPath.oracle_check(sol, prob.P, prob.q, prob.A_eq, prob.b_eq,
                                   prob.A_in, prob.lower, prob.upper)
 

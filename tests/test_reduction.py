@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from oracles import collect_lti_dataset, random_minimal_lti, rollout
+from scipy.linalg import qr
 
 from softdeepc import experiments, reduction
 from softdeepc.config import ExperimentConfig
@@ -361,6 +362,23 @@ class TestLosslessCondensation:
         gram = stack @ stack.T
         np.testing.assert_allclose(cond.matrix @ cond.matrix.T, gram, rtol=0,
                                    atol=1e-12 * np.abs(gram).max())
+
+    @pytest.mark.parametrize("T", [200, 30], ids=["wide", "tall"])
+    def test_triangle_is_kept_as_one_c_ordered_array(self, T, monkeypatch):
+        # R' is read off the raw factor as one C-ordered array, bit-identical
+        # to the transpose of the R that scipy returns, and the condensed
+        # partition keeps that array without a copy
+        part = make_partition(seed=26, T=T)
+        expected = qr(np.array(part.matrix).T, mode="raw", check_finite=False)[1].T
+        made = []
+        triangle = reduction._qr_triangle
+        monkeypatch.setattr(reduction, "_qr_triangle",
+                            lambda matrix: made.append(triangle(matrix)) or made[-1])
+        cond = condense_lossless(part)
+        assert made[0].flags.c_contiguous
+        assert np.shares_memory(cond.matrix, made[0])
+        assert cond.matrix.shape == expected.shape
+        assert cond.matrix.tobytes() == np.ascontiguousarray(expected).tobytes()
 
     def test_caller_partition_left_as_it_was(self):
         part = make_partition(seed=23)
