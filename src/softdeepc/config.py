@@ -1,10 +1,10 @@
 """Flat key = value configuration for the experiment harness.
 
 One file drives everything: controller weights, arm geometry, plant
-disturbances, excitation shape, and task definitions. The format is plain
-text, one ``key = value`` per line, with ``#`` comments. A shipped
-``default.cfg`` lists every key with its default so a run is reproducible
-from the config file plus a seed alone.
+disturbances, the dither that collects the data, and task definitions. The
+format is plain text, one ``key = value`` per line, with ``#`` comments. A
+shipped ``default.cfg`` lists every key with its default so a run is
+reproducible from the config file plus a seed alone.
 """
 
 from __future__ import annotations
@@ -14,12 +14,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-from .excitation import _KINDS
-
-# stage_dither dithers around the task's operating points; the plain kinds
-# span the amplitude range
-_EXCITATION_KINDS = ("stage_dither", *_KINDS)
 
 
 def _parse_bool(text: str) -> bool:
@@ -61,16 +55,10 @@ class ExperimentConfig:
     noise_std: float = 0.3
 
     # excitation for data collection
-    excitation_kind: str = "stage_dither"
     dataset_steps: int = 1500
-    ramp_steps: int = 4
-    hold_steps: int = 8
-    amp_lower: float = 0.0
-    amp_upper: float = 70.0
     dither_halfwidth: float = 8.0
     dither_hold: int = 12
     n_est: int = 10
-    pe_retries: int = 8
 
     # tasks
     stages: str = "20:0:200, 40:60:200, 60:120:200"
@@ -94,20 +82,13 @@ class ExperimentConfig:
             raise ValueError("reduction_rank must be -1, 0 or a positive rank")
         if self.dataset_steps < 1:
             raise ValueError("dataset_steps must be positive")
-        if not self.amp_lower < self.amp_upper:
-            raise ValueError("amp_lower must be below amp_upper")
         if self.dither_halfwidth <= 0:
             raise ValueError("dither_halfwidth must be positive")
         if self.dither_hold < 1:
             raise ValueError("dither_hold must be positive")
-        if self.excitation_kind not in _EXCITATION_KINDS:
-            raise ValueError(f"excitation_kind must be one of {_EXCITATION_KINDS}, "
-                             f"got {self.excitation_kind!r}")
         if self.n_est < 0:
             raise ValueError("n_est must be >= 0: the excitation order is at "
                              "least t_ini + horizon")
-        if self.pe_retries < 0:
-            raise ValueError("pe_retries must be >= 0")
 
     def pe_order(self) -> int:
         """Excitation order the collected data must satisfy."""

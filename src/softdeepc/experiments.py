@@ -19,7 +19,6 @@ import numpy as np
 from .baseline import BaselineController, baseline_control
 from .config import ExperimentConfig
 from .controller import DeePCConfig, DeePCController, assemble
-from .excitation import ExcitationSpec, generate_excitation
 from .hankel import (
     HankelPartition,
     TrajectoryDataset,
@@ -97,34 +96,6 @@ def _stage_dither_centers(cfg: ExperimentConfig, task: str) -> list[tuple[np.nda
     return list(zip(centers, steps))
 
 
-def _collect_dither(
-    cfg: ExperimentConfig, seed: int, disturbed: bool, task: str
-) -> TrajectoryDataset:
-    """One continuous run of uniform dither around each task operating point."""
-    hw = cfg.dither_halfwidth
-    inputs = []
-    for i, (center, steps) in enumerate(_stage_dither_centers(cfg, task)):
-        spec = ExcitationSpec(
-            kind="uniform_random",
-            amp_lower=np.clip(center - hw, cfg.u_lower, None).tolist(),
-            amp_upper=np.clip(center + hw, None, cfg.u_upper).tolist(),
-            ramp_steps=1,
-            hold_steps=0,
-            total_steps=steps,
-            seed=seed + 7 * i,
-        )
-        inputs.append(generate_excitation(spec, pe_order=None, channels=3))
-    inputs = np.vstack(inputs)
-    exciting, rank = is_persistently_exciting(inputs, cfg.pe_order())
-    if not exciting:
-        raise ValueError(
-            f"dither excitation failed the order-{cfg.pe_order()} richness check "
-            f"(rank {rank}); widen dither_halfwidth or lengthen dataset_steps"
-        )
-    plant = build_plant(cfg, seed=seed, disturbed=disturbed)
-    return TrajectoryDataset(inputs=inputs, outputs=plant.run(inputs))
-
-
 def collect_dataset(
     cfg: ExperimentConfig,
     seed: int = 0,
@@ -133,29 +104,24 @@ def collect_dataset(
 ) -> TrajectoryDataset:
     """Drive the plant open loop with a persistently exciting signal.
 
-    The stage_dither kind composes uniform noise around the task's nominal
-    commands; the plain kinds span the configured amplitude range uniformly
-    over the whole workspace.
+    One continuous run of uniform dither, within the actuation range, around
+    each of the task's operating points in turn (_stage_dither_centers).
+    Section i draws from its own generator, seeded seed + 7 i.
     """
-    if cfg.excitation_kind == "stage_dither":
-        return _collect_dither(cfg, seed, disturbed, task)
-    if cfg.amp_lower < cfg.u_lower or cfg.amp_upper > cfg.u_upper:
+    hw = cfg.dither_halfwidth
+    inputs = []
+    for i, (center, steps) in enumerate(_stage_dither_centers(cfg, task)):
+        rng = np.random.default_rng(seed + 7 * i)
+        inputs.append(rng.uniform(np.clip(center - hw, cfg.u_lower, None),
+                                  np.clip(center + hw, None, cfg.u_upper),
+                                  size=(steps, 3)))
+    inputs = np.vstack(inputs)
+    exciting, rank = is_persistently_exciting(inputs, cfg.pe_order())
+    if not exciting:
         raise ValueError(
-            f"excitation amplitude range [{cfg.amp_lower}, {cfg.amp_upper}] leaves "
-            f"the actuation range [{cfg.u_lower}, {cfg.u_upper}]"
+            f"dither excitation failed the order-{cfg.pe_order()} richness check "
+            f"(rank {rank}); widen dither_halfwidth or lengthen dataset_steps"
         )
-    spec = ExcitationSpec(
-        kind=cfg.excitation_kind,
-        amp_lower=cfg.amp_lower,
-        amp_upper=cfg.amp_upper,
-        ramp_steps=cfg.ramp_steps,
-        hold_steps=cfg.hold_steps,
-        total_steps=cfg.dataset_steps,
-        seed=seed,
-    )
-    inputs = generate_excitation(
-        spec, pe_order=cfg.pe_order(), channels=3, max_retries=cfg.pe_retries
-    )
     plant = build_plant(cfg, seed=seed, disturbed=disturbed)
     return TrajectoryDataset(inputs=inputs, outputs=plant.run(inputs))
 

@@ -6,7 +6,8 @@
 
 Method: active-set solves in the multiplier space, after the online
 active-set idea of qpOASES (Ferreau, Bock & Diehl, 2008). P must be
-positive definite; the solver raises ValueError at construction otherwise.
+positive definite, with no Cholesky pivot^2 below 1e-11 of max diag(P);
+the solver raises ValueError at construction otherwise.
 The equality rows are eliminated once, at construction, in whitened
 coordinates: with the Cholesky factor P = U'U and X = U^-T A' (A the
 equality rows over the bound rows), the Gram matrix is S = A P^-1 A' = X'X.
@@ -95,6 +96,11 @@ _MAX_CHANGES = 20000  # cap on the dual solve's working-set changes
 # a row whose Schur complement pivot is below this share of its own Gram
 # entry a' P^-1 a lies in the span of the equality rows and the working set
 _DEPENDENT = 1e-10
+# a P whose smallest Cholesky pivot^2 is below this share of max diag(P) is
+# singular to round-off. Measured: P's with one free direction that factor
+# read at most 2.0e-13 (50x below), the package's positive definite P's at
+# least 4.2e-10 (42x above)
+_SINGULAR = 1e-11
 
 
 def _vec(x, n, name):
@@ -276,11 +282,11 @@ class QpSolver:
     Construction factors P, which must be positive definite, eliminates the
     equality rows and keeps the Schur complement of the bound rows, so each
     solve of a receding-horizon loop factors only small working-set blocks.
-    A P whose Cholesky factorization fails, or equality rows whose Gram
-    block does not factor even shifted, raise ValueError. P may be handed
-    over as hankel._Made: the solver then factors that array in place and
-    empties the wrapper. A caller's plain P is copied once and left as it
-    was.
+    A P whose Cholesky factorization fails or has a pivot singular to
+    round-off, or equality rows whose Gram block does not factor even
+    shifted, raise ValueError. P may be handed over as hankel._Made: the
+    solver then factors that array in place and empties the wrapper. A
+    caller's plain P is copied once and left as it was.
     Each solve first sweeps from the working set of the last certified one.
     With seed_shift > 0 that set is first moved forward by seed_shift rows,
     the last seed_shift rows repeating the ones before them, unless the step
@@ -334,6 +340,11 @@ class QpSolver:
         if info:
             raise ValueError("P must be positive definite: its Cholesky "
                              f"factorization fails at column {info}")
+        pivot = U.diagonal().min() ** 2 / self._diag_P.max()
+        if pivot < _SINGULAR:
+            raise ValueError("P must be positive definite: its smallest Cholesky "
+                             f"pivot^2 is {pivot:.1e} of max diag(P), singular "
+                             "to round-off")
         U.flags.writeable = False
         self._PU = U
         self._diag_gap = self._diag_P - U.diagonal()

@@ -109,46 +109,25 @@ class TestCollect:
         with pytest.raises(ValueError, match="lengthen dataset_steps"):
             collect_dataset(cfg, seed=0)
 
-    def test_plain_kind_amplitude_range_validated(self):
-        cfg = small_cfg(excitation_kind="uniform_random", amp_upper=95.0)
-        with pytest.raises(ValueError, match="leaves the actuation range"):
-            collect_dataset(cfg, seed=0)
-
-    def test_plain_kind_collects(self):
-        cfg = small_cfg(excitation_kind="uniform_random")
-        dataset = collect_dataset(cfg, seed=1)
-        assert dataset.length == cfg.dataset_steps
-        exciting, _ = is_persistently_exciting(dataset.inputs, cfg.pe_order())
-        assert exciting
-
 
 def collect_reference(cfg, seed, task):
     """Excitation section by section, then the plant one period at a time.
 
-    The inputs are drawn as the collection describes them (one uniform
-    dither section per operating point, or one plain spec), and the outputs
-    come from the numpy per-period reference plant.
+    The inputs come from one uniform_random ExcitationSpec per operating
+    point, seeded as the collection describes, and the outputs from the
+    numpy per-period reference plant.
     """
-    if cfg.excitation_kind == "stage_dither":
-        hw = cfg.dither_halfwidth
-        sections = []
-        for i, (center, steps) in enumerate(experiments._stage_dither_centers(cfg, task)):
-            spec = ExcitationSpec(
-                kind="uniform_random",
-                amp_lower=np.clip(center - hw, cfg.u_lower, None).tolist(),
-                amp_upper=np.clip(center + hw, None, cfg.u_upper).tolist(),
-                ramp_steps=1, hold_steps=0, total_steps=steps, seed=seed + 7 * i,
-            )
-            sections.append(generate_excitation(spec, pe_order=None, channels=3))
-        inputs = np.vstack(sections)
-    else:
+    hw = cfg.dither_halfwidth
+    sections = []
+    for i, (center, steps) in enumerate(experiments._stage_dither_centers(cfg, task)):
         spec = ExcitationSpec(
-            kind=cfg.excitation_kind, amp_lower=cfg.amp_lower, amp_upper=cfg.amp_upper,
-            ramp_steps=cfg.ramp_steps, hold_steps=cfg.hold_steps,
-            total_steps=cfg.dataset_steps, seed=seed,
+            kind="uniform_random",
+            amp_lower=np.clip(center - hw, cfg.u_lower, None).tolist(),
+            amp_upper=np.clip(center + hw, None, cfg.u_upper).tolist(),
+            total_steps=steps, seed=seed + 7 * i,
         )
-        inputs = generate_excitation(spec, pe_order=cfg.pe_order(), channels=3,
-                                     max_retries=cfg.pe_retries)
+        sections.append(generate_excitation(spec, pe_order=None, channels=3))
+    inputs = np.vstack(sections)
     plant = build_plant(cfg, seed=seed)
     rng = np.random.default_rng(seed)
     lag = np.full(3, plant.geometry.segment_length)
@@ -161,11 +140,10 @@ def collect_reference(cfg, seed, task):
 
 
 class TestCollectReference:
-    @pytest.mark.parametrize("kind, task", [("stage_dither", "fixed_point"),
-                                            ("stage_dither", "circle"),
-                                            ("ramp_and_hold", "fixed_point")])
-    def test_dataset_matches_per_period_reference(self, kind, task):
-        cfg = small_cfg(excitation_kind=kind)
+    @pytest.mark.parametrize("task", ["fixed_point", "circle"],
+                             ids=["stage_dither-fixed_point", "stage_dither-circle"])
+    def test_dataset_matches_per_period_reference(self, task):
+        cfg = small_cfg()
         dataset = collect_dataset(cfg, seed=3, task=task)
         inputs, outputs = collect_reference(cfg, 3, task)
         np.testing.assert_array_equal(dataset.inputs, inputs)

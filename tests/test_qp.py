@@ -304,14 +304,40 @@ class TestBasicSolves:
         np.testing.assert_allclose(sol.z_star, [1.5, 1.5], atol=1e-8)
 
     @pytest.mark.parametrize("P", [np.diag([1.0, 0.0]), np.ones((2, 2)),
-                                   np.diag([1.0, -1.0])],
-                             ids=["singular", "rank_one", "indefinite"])
+                                   np.diag([1.0, -1.0]),
+                                   np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])],
+                             ids=["singular", "rank_one", "indefinite",
+                                  "singular_to_round_off"])
     def test_cost_that_is_not_positive_definite_rejected(self, P):
         # singular (a flat direction, even one a bound would pin) or
         # indefinite: P has no Cholesky factor, and the solver has no other
-        # solve path
+        # solve path. The last P factors, but its second pivot is round-off
+        # (pivot^2 about 1e-13 of max diag(P))
         with pytest.raises(ValueError, match="P must be positive definite"):
             QpSolver(P, A_in=np.eye(2))
+
+    def test_ill_conditioned_positive_definite_cost_accepted(self):
+        # pivot^2 / max diag(P) = 1e-9: small, but above the singular P's
+        sol = QpSolver(np.diag([1.0, 1e-9])).solve([-1.0, -1e-9], None, None, None)
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.z_star, [1.0, 1.0], rtol=1e-9)
+
+    @pytest.mark.parametrize("lambda_y", [np.inf, 1e3])
+    def test_template_cost_with_a_free_direction_rejected(self, monkeypatch, lambda_y):
+        # lambda_g = 0 and R = 0 with m = 1 and horizon = 1 leave the cost one
+        # free direction on noisy data. With the template's own rank test
+        # switched off, dpotrf finds a positive round-off pivot on about half
+        # of these seeds; the solver rejects every such P itself
+        monkeypatch.setattr(controller, "numerical_rank", lambda M: M.shape[1])
+        cfg = DeePCConfig(t_ini=4, horizon=1, R=0.0, lambda_g=0.0, lambda_y=lambda_y)
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            A, B, C, D = random_minimal_lti(rng, 3, 1, 1)
+            u, y = collect_lti_dataset(A, B, C, D, rng, 80)
+            y = y + 0.01 * rng.standard_normal(y.shape)
+            part = partition_past_future(build_hankel(u, 5), build_hankel(y, 5), 4, 1)
+            with pytest.raises(ValueError, match="P must be positive definite"):
+                assemble(cfg, part)
 
     def test_equality_gram_that_does_not_factor_rejected(self, monkeypatch):
         monkeypatch.setattr(qp, "_spd_factor", lambda S: None)
