@@ -31,7 +31,6 @@ from .experiments import (
     run_fixed_point,
 )
 from .hankel import (
-    BlockHankel,
     HankelPartition,
     TrajectoryDataset,
     build_hankel,
@@ -73,7 +72,6 @@ __all__ = [
     "ArmState",
     "BaselineCommand",
     "BaselineController",
-    "BlockHankel",
     "CcInverse",
     "DeePCConfig",
     "DeePCController",

@@ -25,13 +25,14 @@ from .hankel import (
     _Made,
     is_persistently_exciting,
     numerical_rank,
+    partition_past_future,
     singular_value_rank,
     stacked_hankel,
 )
 
-# build_hankel and partition_past_future are not called here, but stay
-# importable under these names: the benchmark tracer wraps both.
-from .hankel import build_hankel, partition_past_future  # noqa: F401
+# build_hankel is not called here, but stays importable under this name:
+# the benchmark tracer wraps it.
+from .hankel import build_hankel  # noqa: F401
 from .kinematics import ArmGeometry, cc_forward, cc_inverse
 from .plants import DisturbanceConfig, SoftArmPlant
 from .reduction import condense_stack, factorize_and_condense, select_rank
@@ -172,17 +173,19 @@ def _raise_rank_until_feasible(partition, energy_fraction):
 def _data_matrix(cfg: ExperimentConfig, dataset: TrajectoryDataset) -> HankelPartition:
     """The controller's data: the raw partition, or a condensation of it.
 
-    The stack [Hu; Hy] is written once, and only the wrapper holds it: the
+    The stack [Hu; Hy] is written once, and only one wrapper holds it: the
     lossless condensation (the default) factors it in place, and the other
-    paths take it as the partition's matrix without a copy. The raw stack is
-    freed on return unless it is the data itself.
+    paths take partition_past_future's stack as the matrix without a copy.
+    The raw stack is freed on return unless it is the data itself.
     """
-    stack = _Made(stacked_hankel(dataset.inputs, dataset.outputs, cfg.t_ini + cfg.horizon))
-    layout = dict(input_dim=dataset.input_dim, output_dim=dataset.output_dim,
-                  t_ini=cfg.t_ini, horizon=cfg.horizon)
-    if cfg.use_reduction and not 0 <= cfg.reduction_rank < min(stack.array.shape):
-        return condense_stack(stack, **layout)
-    partition = HankelPartition(matrix=stack, **layout)
+    depth = cfg.t_ini + cfg.horizon
+    m, p = dataset.input_dim, dataset.output_dim
+    # min(stack.shape): a rank from there on truncates nothing
+    if cfg.use_reduction and not 0 <= cfg.reduction_rank < min(
+            depth * (m + p), dataset.length - depth + 1):
+        stack = _Made(stacked_hankel(dataset, depth))
+        return condense_stack(stack, m, p, cfg.t_ini, cfg.horizon)
+    partition = partition_past_future(dataset, cfg.t_ini, cfg.horizon)
     if not cfg.use_reduction:
         return partition
     if cfg.reduction_rank == 0:

@@ -4,17 +4,17 @@ Input/output records are stored as (T, dim) arrays, one row per sample.
 Hankel columns stack L consecutive samples time-major: all channels of
 sample i sit in rows [i*d, (i+1)*d) of the column.
 
-HankelPartition is the one data-matrix type the controller consumes: the
-stacked [Up; Uf; Yp; Yf] rows, either raw (one column per data window) or
-condensed to r columns by the reduction module.
+HankelPartition is the one data-matrix type: the stacked [Up; Uf; Yp; Yf]
+rows, either raw (one column per data window) or condensed to r columns by
+the reduction module. Every raw partition is built from a TrajectoryDataset
+by partition_past_future.
 
 The containers hold read-only arrays. An array a caller passes in is
 copied, so the caller's stays writable; one the package has just made
-(build_hankel's matrix, partition_past_future's stack, a condensed matrix)
-is taken as it is. build_hankel and stacked_hankel share one sliding-window
-copy, and stacked_hankel writes [Hu; Hy] straight into one writable array:
-the controller build copies the data once from the dataset to that stack,
-which the lossless condensation then factors in place.
+(partition_past_future's stack, a condensed matrix) is taken as it is.
+stacked_hankel writes [Hu; Hy] straight into one writable array, so a raw
+partition is one copy of the dataset, and the controller build's lossless
+condensation factors that stack in place.
 
 is_persistently_exciting certifies full row rank from the Gram matrix
 H H' (one symmetric product and one Cholesky factorization) and runs the
@@ -29,7 +29,6 @@ from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "TrajectoryDataset",
-    "BlockHankel",
     "HankelPartition",
     "build_hankel",
     "stacked_hankel",
@@ -93,6 +92,7 @@ class TrajectoryDataset:
 
     inputs:  (T, m) array, one actuation vector per sample.
     outputs: (T, p) array, one measurement vector per sample.
+    Every sample must be finite: the stack's QR does not check.
     """
 
     inputs: np.ndarray
@@ -101,6 +101,9 @@ class TrajectoryDataset:
     def __post_init__(self):
         object.__setattr__(self, "inputs", _freeze(_as_signal(self.inputs)))
         object.__setattr__(self, "outputs", _freeze(_as_signal(self.outputs)))
+        for name in ("inputs", "outputs"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"dataset {name} must be finite (found NaN or inf)")
         if len(self.inputs) != len(self.outputs):
             raise ValueError(
                 f"inputs ({len(self.inputs)} samples) and outputs "
@@ -118,34 +121,6 @@ class TrajectoryDataset:
     @property
     def output_dim(self) -> int:
         return self.outputs.shape[1]
-
-
-@dataclass(frozen=True)
-class BlockHankel:
-    """Block Hankel matrix of a vector signal.
-
-    matrix has shape (signal_dim * depth, T - depth + 1); block (i, j)
-    equals signal sample i + j.
-    """
-
-    matrix: np.ndarray
-    signal_dim: int
-    depth: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
-        rows, cols = self.matrix.shape
-        if rows != self.signal_dim * self.depth:
-            raise ValueError(
-                f"matrix has {rows} rows, expected signal_dim*depth = "
-                f"{self.signal_dim * self.depth}"
-            )
-        if cols < 1:
-            raise ValueError("Hankel matrix must have at least one column")
-
-    @property
-    def columns(self) -> int:
-        return self.matrix.shape[1]
 
 
 def _check_depth(signal: np.ndarray, depth: int) -> None:
@@ -166,38 +141,32 @@ def _write_hankel(out: np.ndarray, signal: np.ndarray, depth: int) -> None:
     out.reshape(depth, signal.shape[1], -1)[...] = windows.transpose(2, 1, 0)
 
 
-def build_hankel(signal, depth: int) -> BlockHankel:
-    """Arrange a (T, d) signal into its depth-L block Hankel matrix.
+def build_hankel(signal, depth: int) -> np.ndarray:
+    """The depth-L block Hankel matrix of a (T, d) signal, as a new array.
 
     Column j stacks samples j .. j+L-1; time-major row ordering.
     """
     arr = _as_signal(signal)
     _check_depth(arr, depth)
-    T, d = arr.shape
-    matrix = np.empty((depth * d, T - depth + 1))
+    matrix = np.empty((depth * arr.shape[1], len(arr) - depth + 1))
     _write_hankel(matrix, arr, depth)
-    return BlockHankel(matrix=_Made(matrix), signal_dim=d, depth=depth)
+    return matrix
 
 
-def stacked_hankel(inputs, outputs, depth: int) -> np.ndarray:
-    """[Hu; Hy], the depth-L Hankels of inputs over outputs, in one new array.
+def stacked_hankel(data: TrajectoryDataset, depth: int) -> np.ndarray:
+    """[Hu; Hy], the depth-L Hankels of a dataset's inputs over its outputs.
 
-    Both Hankels are written straight into one writable C-ordered
+    Both Hankels are written straight into one new writable C-ordered
     (depth * (m + p), T - depth + 1) array, with no copy of either on its
-    own; it equals partition_past_future(build_hankel(inputs, depth),
-    build_hankel(outputs, depth), ...).matrix.
+    own. Raises TypeError for anything other than a TrajectoryDataset.
     """
-    u, y = _as_signal(inputs), _as_signal(outputs)
-    if len(u) != len(y):
-        raise ValueError(
-            f"inputs ({len(u)} samples) and outputs ({len(y)} samples) "
-            f"must have identical length"
-        )
-    _check_depth(u, depth)
-    split = depth * u.shape[1]
-    stack = np.empty((split + depth * y.shape[1], len(u) - depth + 1))
-    _write_hankel(stack[:split], u, depth)
-    _write_hankel(stack[split:], y, depth)
+    if not isinstance(data, TrajectoryDataset):
+        raise TypeError(f"data must be a TrajectoryDataset, got {type(data).__name__}")
+    _check_depth(data.inputs, depth)
+    split = depth * data.input_dim
+    stack = np.empty((split + depth * data.output_dim, data.length - depth + 1))
+    _write_hankel(stack[:split], data.inputs, depth)
+    _write_hankel(stack[split:], data.outputs, depth)
     return stack
 
 
@@ -261,7 +230,7 @@ def is_persistently_exciting(inputs, order: int) -> tuple[bool, int]:
     signal = _as_signal(inputs)
     if not np.isfinite(signal).all():
         raise ValueError("input samples must be finite to check persistency of excitation")
-    matrix = build_hankel(signal, order).matrix
+    matrix = build_hankel(signal, order)
     rows, cols = matrix.shape
     if cols >= rows and _gram_certifies(matrix):
         return True, rows
@@ -344,52 +313,36 @@ class HankelPartition:
         return self.columns
 
 
-def partition_past_future(Hu: BlockHankel, Hy: BlockHankel, t_ini: int, horizon: int) -> HankelPartition:
-    """Split input/output Hankels into past (t_ini) and future (horizon) blocks."""
-    if t_ini < 1:
-        raise ValueError(f"t_ini must be >= 1, got {t_ini}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    L = t_ini + horizon
-    if Hu.depth != L or Hy.depth != L:
-        raise ValueError(
-            f"Hankel depths ({Hu.depth}, {Hy.depth}) must both equal t_ini + horizon = {L}"
-        )
-    if Hu.columns != Hy.columns:
-        raise ValueError(
-            f"input Hankel has {Hu.columns} columns but output Hankel has {Hy.columns}"
-        )
+def partition_past_future(data: TrajectoryDataset, t_ini: int, horizon: int) -> HankelPartition:
+    """The raw data matrix of a dataset, split into past (t_ini) and future (horizon).
+
+    Its matrix is the depth-(t_ini + horizon) stacked_hankel, kept without a copy.
+    """
+    if t_ini < 1 or horizon < 1:
+        raise ValueError(f"t_ini and horizon must be >= 1, got {t_ini} and {horizon}")
     return HankelPartition(
-        matrix=_Made(np.vstack([Hu.matrix, Hy.matrix])),
-        input_dim=Hu.signal_dim,
-        output_dim=Hy.signal_dim,
+        matrix=_Made(stacked_hankel(data, t_ini + horizon)),
+        input_dim=data.input_dim,
+        output_dim=data.output_dim,
         t_ini=t_ini,
         horizon=horizon,
     )
 
 
-def representability_residual(Hu: BlockHankel, Hy: BlockHankel, traj_u, traj_y) -> float:
-    """Distance of a length-L trajectory from the span of the Hankel columns.
+def representability_residual(data: TrajectoryDataset, traj_u, traj_y) -> float:
+    """Distance of a length-L trajectory from the span of the dataset's windows.
 
-    Solves min_g || [Hu; Hy] g - [traj_u; traj_y] ||_2 by minimum-norm least
-    squares; a residual near zero certifies the trajectory is representable
-    as a linear combination of recorded behavior.
+    Solves min_g || [Hu; Hy] g - [traj_u; traj_y] ||_2 on the depth-L
+    stacked_hankel of the data by minimum-norm least squares; a residual
+    near zero certifies the trajectory is representable as a linear
+    combination of recorded behavior.
     """
-    u = _as_signal(traj_u)
-    y = _as_signal(traj_y)
-    if Hu.columns != Hy.columns:
-        raise ValueError(
-            f"input Hankel has {Hu.columns} columns but output Hankel has {Hy.columns}"
-        )
-    if u.shape != (Hu.depth, Hu.signal_dim):
-        raise ValueError(
-            f"input trajectory has shape {u.shape}, expected ({Hu.depth}, {Hu.signal_dim})"
-        )
-    if y.shape != (Hy.depth, Hy.signal_dim):
-        raise ValueError(
-            f"output trajectory has shape {y.shape}, expected ({Hy.depth}, {Hy.signal_dim})"
-        )
-    stack = np.vstack([Hu.matrix, Hy.matrix])
+    u, y = _as_signal(traj_u), _as_signal(traj_y)
+    L = len(u)
+    stack = stacked_hankel(data, L)
+    if u.shape[1] != data.input_dim or y.shape != (L, data.output_dim):
+        raise ValueError(f"trajectory shapes {u.shape} and {y.shape}, expected "
+                         f"({L}, {data.input_dim}) and ({L}, {data.output_dim})")
     target = np.concatenate([u.ravel(), y.ravel()])
     g, *_ = np.linalg.lstsq(stack, target, rcond=None)
     return float(np.linalg.norm(stack @ g - target))

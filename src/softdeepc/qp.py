@@ -6,8 +6,10 @@
 
 Method: active-set solves in the multiplier space, after the online
 active-set idea of qpOASES (Ferreau, Bock & Diehl, 2008). P must be
-positive definite, with no Cholesky pivot^2 below 1e-11 of max diag(P);
-the solver raises ValueError at construction otherwise.
+positive definite: the solver raises ValueError at construction when its
+Cholesky factorization fails or a pivot^2 is below 1e-11 of max diag(P).
+A P singular to round-off can pass; then only the KKT certificate of each
+solve keeps it from "optimal".
 The equality rows are eliminated once, at construction, in whitened
 coordinates: with the Cholesky factor P = U'U and X = U^-T A' (A the
 equality rows over the bound rows), the Gram matrix is S = A P^-1 A' = X'X.
@@ -284,9 +286,10 @@ class QpSolver:
     solve of a receding-horizon loop factors only small working-set blocks.
     A P whose Cholesky factorization fails or has a pivot singular to
     round-off, or equality rows whose Gram block does not factor even
-    shifted, raise ValueError. P may be handed over as hankel._Made: the
-    solver then factors that array in place and empties the wrapper. A
-    caller's plain P is copied once and left as it was.
+    shifted, raise ValueError; a P singular to round-off can pass, and its
+    solves then rest on the KKT certificate alone. P may be handed over as
+    hankel._Made: the solver then factors that array in place and empties
+    the wrapper. A caller's plain P is copied once and left as it was.
     Each solve first sweeps from the working set of the last certified one.
     With seed_shift > 0 that set is first moved forward by seed_shift rows,
     the last seed_shift rows repeating the ones before them, unless the step

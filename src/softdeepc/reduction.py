@@ -3,7 +3,8 @@
 Both ways substitute g = V h for the decision vector of the downstream
 predictive controller, with V orthonormal, and keep the data matrix
 stack @ V: the same row blocks over fewer columns. Raw and condensed data
-share one type, HankelPartition.
+share one type, HankelPartition; the raw one is built from a dataset by
+hankel.partition_past_future.
 
 condense_lossless takes V from the QR factorization stack' = Q R. Then
 stack @ Q = R', the triangle that qr(stack', mode="raw") returns without

@@ -298,7 +298,7 @@ def save_dataset(path: str | Path, dataset: TrajectoryDataset) -> None:
 
 def load_dataset(path: str | Path) -> TrajectoryDataset:
     """Read a dataset CSV written by :func:`save_dataset`."""
-    text = Path(path).read_text().strip().splitlines()
+    text = Path(path).read_text().rstrip().splitlines()
     if not text:
         raise ValueError(f"{path}: empty dataset file")
     header = text[0].split(",")
@@ -308,8 +308,20 @@ def load_dataset(path: str | Path) -> TrajectoryDataset:
     p = len(header) - 1 - m
     if m < 1 or p < 1:
         raise ValueError(f"{path}: header {header} lacks input or output columns")
-    rows = [line.split(",") for line in text[1:]]
-    data = np.array([[float(v) for v in row[1:]] for row in rows])
-    if data.shape[1] != m + p:
-        raise ValueError(f"{path}: inconsistent column count")
-    return TrajectoryDataset(inputs=data[:, :m], outputs=data[:, m:])
+    if len(text) < 2:
+        raise ValueError(f"{path}: no samples after the header line")
+    rows = []
+    for number, line in enumerate(text[1:], start=2):
+        cells = line.split(",")
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"inconsistent column count ({len(cells)} cells, "
+                                 f"the header has {len(header)})")
+            rows.append([float(v) for v in cells[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
+    data = np.array(rows)
+    try:
+        return TrajectoryDataset(inputs=data[:, :m], outputs=data[:, m:])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

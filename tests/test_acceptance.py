@@ -22,7 +22,7 @@ from softdeepc.config import ExperimentConfig
 from softdeepc.controller import DeePCConfig, assemble, step
 from softdeepc.excitation import ExcitationSpec, generate_excitation
 from softdeepc.hankel import (
-    build_hankel,
+    TrajectoryDataset,
     is_persistently_exciting,
     numerical_rank,
     partition_past_future,
@@ -116,8 +116,7 @@ def test_representability_separates_true_and_mismatched_plants(capsys):
         exciting, _ = is_persistently_exciting(u_d, order)
         assert exciting
         y_d, _ = rollout(A, B, C, D, u_d)
-        Hu = build_hankel(u_d, depth)
-        Hy = build_hankel(y_d, depth)
+        data = TrajectoryDataset(u_d, y_d)
         # five fresh trajectories of the same plant, five from a different
         # plant of the same dimensions; normalized so residuals compare
         # across plants on one scale
@@ -126,7 +125,7 @@ def test_representability_separates_true_and_mismatched_plants(capsys):
             u_t = rng.uniform(-1, 1, size=(depth, m))
             y_t, _ = rollout(A, B, C, D, u_t, x0=x0)
             scale = np.linalg.norm(np.concatenate([u_t.ravel(), y_t.ravel()]))
-            res = representability_residual(Hu, Hy, u_t / scale, y_t / scale)
+            res = representability_residual(data, u_t / scale, y_t / scale)
             valid_max = max(valid_max, res)
         for _ in range(5):
             A2, B2, C2, D2 = random_minimal_lti(rng, n, m, p)
@@ -134,7 +133,7 @@ def test_representability_separates_true_and_mismatched_plants(capsys):
             u_t = rng.uniform(-1, 1, size=(depth, m))
             y_t, _ = rollout(A2, B2, C2, D2, u_t, x0=x0)
             scale = np.linalg.norm(np.concatenate([u_t.ravel(), y_t.ravel()]))
-            res = representability_residual(Hu, Hy, u_t / scale, y_t / scale)
+            res = representability_residual(data, u_t / scale, y_t / scale)
             mismatch_min = min(mismatch_min, res)
     wall = time.perf_counter() - t0
     ok = valid_max <= 1e-8 and mismatch_min > 1e-3 and wall <= 30.0
@@ -158,9 +157,7 @@ def test_first_input_matches_model_based_mpc(capsys):
     A, B, C, D = random_minimal_lti(rng, 3, 2, 2)
     u_d, y_d = collect_lti_dataset(A, B, C, D, rng, 260)
     t_ini, horizon = 4, 10
-    part = partition_past_future(build_hankel(u_d, t_ini + horizon),
-                                 build_hankel(y_d, t_ini + horizon),
-                                 t_ini, horizon)
+    part = partition_past_future(TrajectoryDataset(u_d, y_d), t_ini, horizon)
     cfg = DeePCConfig(t_ini=t_ini, horizon=horizon, Q=1.0, R=0.05,
                       lambda_g=0.0, lambda_y=np.inf,
                       u_lower=-1.0, u_upper=1.0)
@@ -227,9 +224,7 @@ def test_svd_condensation_exact_then_fast_at_energy_rank(capsys):
 
     # part A: noiseless data, condensed at the numerical rank, first
     # inputs must match the uncondensed problem
-    part_clean = partition_past_future(build_hankel(u_d, depth),
-                                       build_hankel(y_clean, depth),
-                                       t_ini, horizon)
+    part_clean = partition_past_future(TrajectoryDataset(u_d, y_clean), t_ini, horizon)
     assert part_clean.columns >= 1000
     rank_exact = numerical_rank(part_clean.matrix)
     template_full_clean = assemble(cfg, part_clean)
@@ -253,9 +248,7 @@ def test_svd_condensation_exact_then_fast_at_energy_rank(capsys):
 
     # part B: noisy data, rank picked by the 99.9% energy rule, closed-loop
     # circle tracking and per-step solve times for full vs condensed
-    part = partition_past_future(build_hankel(u_d, depth),
-                                 build_hankel(y_noisy, depth),
-                                 t_ini, horizon)
+    part = partition_past_future(TrajectoryDataset(u_d, y_noisy), t_ini, horizon)
     condensed = factorize_and_condense(part, energy_fraction=0.999)
     template_full = assemble(cfg, part)
     template_small = assemble(cfg, condensed)

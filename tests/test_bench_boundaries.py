@@ -5,6 +5,7 @@ time and reads counters off some results; a refactor that drops or renames
 one of them would otherwise surface only in the benchmark's own smoke test.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -15,8 +16,10 @@ import softdeepc
 from softdeepc import (
     DeePCConfig,
     DeePCController,
+    ExperimentConfig,
+    TrajectoryDataset,
     assemble,
-    build_hankel,
+    experiments,
     factorize_and_condense,
     partition_past_future,
 )
@@ -46,8 +49,8 @@ def test_boundary_resolves_to_callable(path, attribute, span):
 def test_counters_read_from_real_results():
     rng = np.random.default_rng(0)
     t_ini, horizon = 2, 3
-    part = partition_past_future(build_hankel(rng.standard_normal((60, 1)), 5),
-                                 build_hankel(rng.standard_normal((60, 1)), 5),
+    part = partition_past_future(TrajectoryDataset(rng.standard_normal((60, 1)),
+                                                   rng.standard_normal((60, 1))),
                                  t_ini, horizon)
     condensed = factorize_and_condense(part, r=8)
     assert tracing._counters("reduction.factorize", condensed) == {"rank_used": 8}
@@ -56,3 +59,37 @@ def test_counters_read_from_real_results():
     for data, rank in ((condensed, 8), (part, 0)):
         ctrl = DeePCController(assemble(cfg, data))
         assert tracing._counters("experiments.build", ctrl) == {"rank_used": rank}
+
+
+@pytest.fixture(scope="module")
+def small_dataset():
+    cfg = dataclasses.replace(ExperimentConfig(), t_ini=6, horizon=8, n_est=4,
+                              dataset_steps=400, stages="15:0:25, 30:90:25",
+                              timing_enabled=False)
+    return cfg, experiments.collect_dataset(cfg, seed=0)
+
+
+# the raw build makes its partition at the traced hankel.build boundary; the
+# default build condenses the stack in place, which no boundary wraps
+@pytest.mark.parametrize("use_reduction, hankel_builds, stack_condensations",
+                         [(False, 1, 0), (True, 0, 1)], ids=["raw", "default"])
+def test_build_controller_crosses_the_hankel_boundary(small_dataset, monkeypatch,
+                                                      use_reduction, hankel_builds,
+                                                      stack_condensations):
+    cfg, dataset = small_dataset
+    cfg = dataclasses.replace(cfg, use_reduction=use_reduction)
+    condensations = []
+    real = experiments.condense_stack
+
+    def counted(*args, **kwargs):
+        condensations.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "condense_stack", counted)
+    tracer = tracing.Tracer()
+    with tracer.installed(softdeepc):
+        experiments.build_controller(cfg, dataset)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("experiments.build") == 1
+    assert names.count("hankel.build") == hankel_builds
+    assert len(condensations) == stack_condensations

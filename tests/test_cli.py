@@ -164,3 +164,36 @@ class TestErrorPaths:
                        "--dataset", tmp_path / "nope.csv")
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("body, message", [
+        ("", "no samples after the header line"),
+        ("0,1,2,3,4,5,6\n1,1,2\n", "line 3: inconsistent column count"),
+        ("0,1,2,3,4,5,six\n", "line 2: could not convert string to float: 'six'"),
+    ], ids=["header_only", "ragged_row", "non_numeric_cell"])
+    def test_malformed_dataset_fails_cleanly(self, tmp_path, capsys, body, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("step,u_1,u_2,u_3,y_x,y_y,y_z\n" + body)
+        code = run_cli("check-pe", "--dataset", bad)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(bad) in err and message in err
+
+    @pytest.mark.parametrize("side, column", [("inputs", 1), ("outputs", 5)])
+    def test_non_finite_dataset_fails_cleanly(self, tmp_path, config_path, capsys,
+                                              side, column):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "dataset.csv"
+        save_dataset(path, TrajectoryDataset(rng.uniform(0, 1, (80, 3)),
+                                             rng.uniform(0, 1, (80, 3))))
+        lines = path.read_text().splitlines()
+        cells = lines[10].split(",")
+        cells[column] = "nan"
+        lines[10] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli("fixed-point", "--config", config_path,
+                       "--out", tmp_path / "x", "--dataset", path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(path) in err and f"dataset {side} must be finite" in err

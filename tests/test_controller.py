@@ -18,15 +18,13 @@ from softdeepc.controller import (
 )
 from softdeepc.config import ExperimentConfig
 from softdeepc.experiments import build_controller, collect_dataset
-from softdeepc.hankel import build_hankel, numerical_rank, partition_past_future
+from softdeepc.hankel import TrajectoryDataset, numerical_rank, partition_past_future
 from softdeepc.plants import LtiPlant
 from softdeepc.reduction import condense_lossless, factorize_and_condense
 
 
 def make_partition(u, y, t_ini, horizon):
-    L = t_ini + horizon
-    return partition_past_future(build_hankel(u, L), build_hankel(y, L),
-                                 t_ini, horizon)
+    return partition_past_future(TrajectoryDataset(u, y), t_ini, horizon)
 
 
 def primed_controller(template, u_hist, y_hist):
@@ -620,10 +618,7 @@ class TestStepObjective:
     def soft_arm(self):
         cfg = ExperimentConfig()
         dataset = collect_dataset(cfg, seed=0)
-        depth = cfg.t_ini + cfg.horizon
-        data = condense_lossless(partition_past_future(
-            build_hankel(dataset.inputs, depth), build_hankel(dataset.outputs, depth),
-            cfg.t_ini, cfg.horizon))
+        data = condense_lossless(partition_past_future(dataset, cfg.t_ini, cfg.horizon))
         return dataset, build_controller(cfg, dataset).template.config, data
 
     @pytest.mark.parametrize("weights", ["scalar", "matrix"])

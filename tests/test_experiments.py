@@ -32,7 +32,7 @@ from softdeepc.experiments import (
     run_circle,
     run_fixed_point,
 )
-from softdeepc.hankel import build_hankel, is_persistently_exciting, partition_past_future
+from softdeepc.hankel import is_persistently_exciting, partition_past_future
 from softdeepc.reduction import condense_lossless
 from softdeepc.runlog import StageSpec, export_run
 
@@ -178,10 +178,7 @@ class TestBuildController:
         # the default holds for any window: here 84 rows, not the shipped 300
         cfg = small_cfg(reduction_rank=ExperimentConfig().reduction_rank)
         dataset = collect_dataset(cfg, seed=0)
-        depth = cfg.t_ini + cfg.horizon
-        partition = partition_past_future(build_hankel(dataset.inputs, depth),
-                                          build_hankel(dataset.outputs, depth),
-                                          cfg.t_ini, cfg.horizon)
+        partition = partition_past_future(dataset, cfg.t_ini, cfg.horizon)
         shapes = []
         svd = np.linalg.svd
 
@@ -192,7 +189,7 @@ class TestBuildController:
         monkeypatch.setattr(np.linalg, "svd", recorded_svd)
         tpl = build_controller(cfg, dataset).template
         stack = np.vstack([tpl.Up, tpl.Uf, tpl.Yp, tpl.Yf])
-        assert tpl.condensed and stack.shape == (6 * depth, 6 * depth)
+        assert tpl.condensed and stack.shape == (6 * partition.depth, 6 * partition.depth)
         # the QR condenses and the Gram certificates prove the ranks: no SVD
         assert shapes == []
         np.testing.assert_array_equal(stack, condense_lossless(partition).matrix)
@@ -256,13 +253,10 @@ class TestBuildController:
         controller = build_controller(cfg, dataset)
         assert len(calls) == 1
         # an independent factorization one rank lower loses the input rows
-        depth = cfg.t_ini + cfg.horizon
-        partition = partition_past_future(build_hankel(dataset.inputs, depth),
-                                          build_hankel(dataset.outputs, depth),
-                                          cfg.t_ini, cfg.horizon)
+        partition = partition_past_future(dataset, cfg.t_ini, cfg.horizon)
         r = controller.template.n_g
         lower = real(partition, r=r - 1)
-        m_rows = 3 * depth
+        m_rows = 3 * partition.depth
         assert np.linalg.matrix_rank(np.vstack([lower.Up, lower.Uf])) < m_rows
         np.testing.assert_allclose(controller.template.Uf, real(partition, r=r).Uf,
                                    rtol=0, atol=0)

@@ -1,5 +1,7 @@
 """Tests for trajectory containers and block-Hankel construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from softdeepc import hankel as hankel_module
 from softdeepc.config import ExperimentConfig
 from softdeepc.experiments import collect_dataset
 from softdeepc.hankel import (
-    BlockHankel,
     HankelPartition,
     TrajectoryDataset,
     build_hankel,
@@ -75,6 +76,14 @@ class TestTrajectoryDataset:
         with pytest.raises(ValueError):
             ds.inputs[0, 0] = 1.0
 
+    @pytest.mark.parametrize("side", ["inputs", "outputs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, side, bad):
+        signals = {"inputs": np.zeros((10, 2)), "outputs": np.zeros((10, 1))}
+        signals[side][4, 0] = bad
+        with pytest.raises(ValueError, match=f"dataset {side} must be finite"):
+            TrajectoryDataset(**signals)
+
     def test_caller_arrays_stay_writable(self):
         # freezing used to flip the caller's own array to read-only
         u = np.zeros((10, 2))
@@ -88,29 +97,26 @@ class TestBuildHankel:
     def test_scalar_example(self):
         # [1,2,3,4] at depth 2 -> [[1,2,3],[2,3,4]]
         h = build_hankel([1.0, 2.0, 3.0, 4.0], depth=2)
-        np.testing.assert_array_equal(h.matrix, [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
-        assert h.signal_dim == 1
-        assert h.depth == 2
+        np.testing.assert_array_equal(h, [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
 
     def test_shape_contract(self):
         rng = np.random.default_rng(7)
         signal = rng.standard_normal((500, 3))
         h = build_hankel(signal, depth=50)
-        assert h.matrix.shape == (150, 451)
-        assert h.columns == 451
+        assert h.shape == (150, 451)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(11)
         for d, T, L in [(1, 30, 5), (2, 41, 7), (3, 500, 50)]:
             signal = rng.standard_normal((T, d))
             h = build_hankel(signal, depth=L)
-            np.testing.assert_allclose(h.matrix, naive_hankel(signal, L), rtol=0, atol=0)
+            np.testing.assert_allclose(h, naive_hankel(signal, L), rtol=0, atol=0)
 
     def test_block_row_layout_time_major(self):
         # column j must stack samples j..j+L-1 with all channels contiguous
         signal = np.arange(12.0).reshape(6, 2)
         h = build_hankel(signal, depth=3)
-        np.testing.assert_array_equal(h.matrix[:, 1], signal[1:4].ravel())
+        np.testing.assert_array_equal(h[:, 1], signal[1:4].ravel())
 
     def test_depth_bounds(self):
         with pytest.raises(ValueError, match="depth"):
@@ -120,8 +126,8 @@ class TestBuildHankel:
 
     def test_full_depth_single_column(self):
         h = build_hankel([1.0, 2.0, 3.0], depth=3)
-        assert h.matrix.shape == (3, 1)
-        np.testing.assert_array_equal(h.matrix[:, 0], [1.0, 2.0, 3.0])
+        assert h.shape == (3, 1)
+        np.testing.assert_array_equal(h[:, 0], [1.0, 2.0, 3.0])
 
     def test_shift_property(self):
         # sliding the signal by one sample drops the first column
@@ -129,11 +135,7 @@ class TestBuildHankel:
         signal = rng.standard_normal((60, 2))
         h_full = build_hankel(signal, depth=8)
         h_shift = build_hankel(signal[1:], depth=8)
-        np.testing.assert_array_equal(h_shift.matrix, h_full.matrix[:, 1:])
-
-    def test_row_count_validated(self):
-        with pytest.raises(ValueError, match="rows"):
-            BlockHankel(matrix=np.zeros((5, 3)), signal_dim=2, depth=3)
+        np.testing.assert_array_equal(h_shift, h_full[:, 1:])
 
 
 class TestPersistencyOfExcitation:
@@ -174,7 +176,7 @@ class TestPersistencyOfExcitation:
         signal = rng.standard_normal((80, 2))
         h = build_hankel(signal, depth=6)
         _, rank = is_persistently_exciting(signal, order=6)
-        assert rank == np.linalg.matrix_rank(h.matrix)
+        assert rank == np.linalg.matrix_rank(h)
 
 
 def svd_excitation_oracle(signal, order):
@@ -275,12 +277,9 @@ class TestNumericalRank:
 class TestPartition:
     def make_partition(self, m=2, p=1, t_ini=20, horizon=30, T=200, seed=0):
         rng = np.random.default_rng(seed)
-        L = t_ini + horizon
         u = rng.standard_normal((T, m))
         y = rng.standard_normal((T, p))
-        Hu = build_hankel(u, L)
-        Hy = build_hankel(y, L)
-        return partition_past_future(Hu, Hy, t_ini, horizon), u, y
+        return partition_past_future(TrajectoryDataset(u, y), t_ini, horizon), u, y
 
     def test_block_shapes(self):
         part, _, _ = self.make_partition()
@@ -297,19 +296,15 @@ class TestPartition:
         # window, Uf row is the last sample of each window
         u = np.arange(1.0, 11.0)
         y = 2.0 * u
-        Hu = build_hankel(u, 10)
-        Hy = build_hankel(y, 10)
-        part = partition_past_future(Hu, Hy, t_ini=9, horizon=1)
+        part = partition_past_future(TrajectoryDataset(u, y), t_ini=9, horizon=1)
         np.testing.assert_array_equal(part.Up[:, 0], np.arange(1.0, 10.0))
         np.testing.assert_array_equal(part.Uf, [[10.0]])
         np.testing.assert_array_equal(part.Yf, [[20.0]])
 
     def test_blocks_tile_the_hankel(self):
         part, u, y = self.make_partition(seed=4)
-        Hu = build_hankel(u, 50)
-        Hy = build_hankel(y, 50)
-        np.testing.assert_array_equal(np.vstack([part.Up, part.Uf]), Hu.matrix)
-        np.testing.assert_array_equal(np.vstack([part.Yp, part.Yf]), Hy.matrix)
+        np.testing.assert_array_equal(np.vstack([part.Up, part.Uf]), naive_hankel(u, 50))
+        np.testing.assert_array_equal(np.vstack([part.Yp, part.Yf]), naive_hankel(y, 50))
 
     def test_stacked_order(self):
         part, _, _ = self.make_partition(seed=6)
@@ -328,18 +323,41 @@ class TestPartition:
         assert not part.matrix.flags.writeable
         assert not part.singular_values.flags.writeable
 
-    def test_depth_mismatch_rejected(self):
-        u = np.random.default_rng(0).standard_normal(40)
-        Hu = build_hankel(u, 10)
-        Hy = build_hankel(u, 9)
-        with pytest.raises(ValueError, match="depth"):
-            partition_past_future(Hu, Hy, t_ini=5, horizon=5)
-
     def test_zero_t_ini_rejected(self):
-        u = np.random.default_rng(0).standard_normal(40)
-        H = build_hankel(u, 10)
+        data = TrajectoryDataset(*np.random.default_rng(0).standard_normal((2, 40)))
         with pytest.raises(ValueError, match="t_ini"):
-            partition_past_future(H, H, t_ini=0, horizon=10)
+            partition_past_future(data, t_ini=0, horizon=10)
+        with pytest.raises(ValueError, match="horizon"):
+            partition_past_future(data, t_ini=10, horizon=0)
+
+    def test_depth_beyond_the_data_rejected(self):
+        data = TrajectoryDataset(np.zeros(10), np.zeros(10))
+        with pytest.raises(ValueError, match="depth 11 exceeds"):
+            partition_past_future(data, t_ini=5, horizon=6)
+
+    def test_hankel_pair_call_rejected(self):
+        # the old call read two Hankel matrices; a dataset is the only input
+        u = np.random.default_rng(0).standard_normal(40)
+        Hu, Hy = build_hankel(u, 10), build_hankel(2.0 * u, 10)
+        with pytest.raises(TypeError):
+            partition_past_future(Hu, Hy, 5, 5)
+        with pytest.raises(TypeError, match="must be a TrajectoryDataset, got ndarray"):
+            partition_past_future(np.vstack([Hu, Hy]), 5, 5)
+
+    def test_stack_is_the_one_copy(self):
+        # 1500 samples, 3 inputs, 3 outputs at the shipped depth: the stack
+        # is written once and kept, where a Hankel per signal plus their
+        # vstack peaks at twice its bytes
+        rng = np.random.default_rng(1)
+        data = TrajectoryDataset(rng.standard_normal((1500, 3)), rng.standard_normal((1500, 3)))
+        tracemalloc.start()
+        try:
+            part = partition_past_future(data, t_ini=20, horizon=30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert part.matrix.shape == (300, 1451)
+        assert peak < 1.5 * part.matrix.nbytes
 
 
 class TestStackedHankel:
@@ -350,29 +368,35 @@ class TestStackedHankel:
         rng = np.random.default_rng(m * 10 + p)
         u, y = rng.standard_normal((T, m)), rng.standard_normal((T, p))
         depth = t_ini + horizon
-        stack = stacked_hankel(u, y, depth)
-        part = partition_past_future(build_hankel(u, depth), build_hankel(y, depth),
-                                     t_ini, horizon)
-        assert stack.shape == part.matrix.shape
-        assert stack.tobytes() == part.matrix.tobytes()
+        data = TrajectoryDataset(u, y)
+        stack = stacked_hankel(data, depth)
+        part = partition_past_future(data, t_ini, horizon)
+        separate = np.vstack([build_hankel(u, depth), build_hankel(y, depth)])
+        assert stack.shape == part.matrix.shape == separate.shape
+        assert stack.tobytes() == part.matrix.tobytes() == separate.tobytes()
         # a new array the caller may overwrite: the lossless QR factors it
         # in place
         assert stack.flags.c_contiguous and stack.flags.writeable
-        assert not np.shares_memory(stack, u) and not np.shares_memory(stack, y)
+        assert not np.shares_memory(stack, data.inputs)
+        assert not np.shares_memory(stack, data.outputs)
 
     def test_one_dimensional_signals(self):
         u, y = np.arange(6.0), 10.0 * np.arange(6.0)
         np.testing.assert_array_equal(
-            stacked_hankel(u, y, 2),
+            stacked_hankel(TrajectoryDataset(u, y), 2),
             np.vstack([naive_hankel(u, 2), naive_hankel(y, 2)]))
 
     def test_lengths_and_depth_validated(self):
+        # unequal lengths cannot reach the stack: the dataset rejects them
         with pytest.raises(ValueError, match="identical length"):
-            stacked_hankel(np.zeros(10), np.zeros(9), 3)
+            stacked_hankel(TrajectoryDataset(np.zeros(10), np.zeros(9)), 3)
+        data = TrajectoryDataset(np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError, match="depth"):
-            stacked_hankel(np.zeros(4), np.zeros(4), 5)
+            stacked_hankel(data, 5)
         with pytest.raises(ValueError, match="depth"):
-            stacked_hankel(np.zeros(4), np.zeros(4), 0)
+            stacked_hankel(data, 0)
+        with pytest.raises(TypeError, match="must be a TrajectoryDataset, got tuple"):
+            stacked_hankel((np.zeros(4), np.zeros(4)), 2)
 
 
 class TestRepresentability:
@@ -381,19 +405,16 @@ class TestRepresentability:
         u = rng.standard_normal((120, 2))
         y = rng.standard_normal((120, 1))
         L = 12
-        Hu = build_hankel(u, L)
-        Hy = build_hankel(y, L)
         j = 37
-        res = representability_residual(Hu, Hy, u[j : j + L], y[j : j + L])
+        res = representability_residual(TrajectoryDataset(u, y), u[j : j + L], y[j : j + L])
         assert res <= 1e-10
 
     def test_zero_trajectory_exact(self):
         rng = np.random.default_rng(19)
         u = rng.standard_normal((80, 1))
         y = rng.standard_normal((80, 1))
-        Hu = build_hankel(u, 8)
-        Hy = build_hankel(y, 8)
-        res = representability_residual(Hu, Hy, np.zeros((8, 1)), np.zeros((8, 1)))
+        res = representability_residual(TrajectoryDataset(u, y), np.zeros((8, 1)),
+                                         np.zeros((8, 1)))
         assert res == pytest.approx(0.0, abs=1e-12)
 
     def test_fresh_lti_trajectory_representable(self):
@@ -404,12 +425,10 @@ class TestRepresentability:
         u_data = rng.standard_normal((400, 2))
         y_data = simulate_lti(A, B, C, D, u_data)
         L = 14
-        Hu = build_hankel(u_data, L)
-        Hy = build_hankel(y_data, L)
         assert is_persistently_exciting(u_data, order=4 + L)[0]
         u_test = rng.standard_normal((L, 2))
         y_test = simulate_lti(A, B, C, D, u_test, x0=rng.standard_normal(4))
-        res = representability_residual(Hu, Hy, u_test, y_test)
+        res = representability_residual(TrajectoryDataset(u_data, y_data), u_test, y_test)
         scale = np.linalg.norm(np.concatenate([u_test.ravel(), y_test.ravel()]))
         assert res / scale <= 1e-8
 
@@ -420,16 +439,26 @@ class TestRepresentability:
         u_data = rng.standard_normal((300, 1))
         y_data = simulate_lti(A, B, C, D, u_data)
         L = 12
-        Hu = build_hankel(u_data, L)
-        Hy = build_hankel(y_data, L)
         u_test = rng.standard_normal((L, 1))
         y_test = simulate_lti(A2, B2, C2, D2, u_test, x0=rng.standard_normal(4))
-        res = representability_residual(Hu, Hy, u_test, y_test)
+        res = representability_residual(TrajectoryDataset(u_data, y_data), u_test, y_test)
         scale = np.linalg.norm(np.concatenate([u_test.ravel(), y_test.ravel()]))
         assert res / scale > 1e-3
 
     def test_shape_validation(self):
         u = np.random.default_rng(0).standard_normal(40)
+        data = TrajectoryDataset(u, u)
+        with pytest.raises(ValueError, match="trajectory shapes"):
+            representability_residual(data, np.zeros((9, 1)), np.zeros((10, 1)))
+        with pytest.raises(ValueError, match="trajectory shapes"):
+            representability_residual(data, np.zeros((10, 2)), np.zeros((10, 1)))
+        with pytest.raises(ValueError, match="depth 41 exceeds"):
+            representability_residual(data, np.zeros((41, 1)), np.zeros((41, 1)))
+
+    def test_hankel_pair_call_rejected(self):
+        u = np.random.default_rng(0).standard_normal(40)
         H = build_hankel(u, 10)
-        with pytest.raises(ValueError, match="trajectory"):
-            representability_residual(H, H, np.zeros((9, 1)), np.zeros((10, 1)))
+        with pytest.raises(TypeError):
+            representability_residual(H, H, np.zeros((10, 1)), np.zeros((10, 1)))
+        with pytest.raises(TypeError, match="must be a TrajectoryDataset, got ndarray"):
+            representability_residual(H, np.zeros((10, 1)), np.zeros((10, 1)))

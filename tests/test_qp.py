@@ -12,7 +12,7 @@ from oracles import (collect_lti_dataset, kkt_residual_reference, random_minimal
 from softdeepc import controller, experiments, qp
 from softdeepc.config import ExperimentConfig
 from softdeepc.controller import DeePCConfig, DeePCController, assemble
-from softdeepc.hankel import _Made, build_hankel, partition_past_future
+from softdeepc.hankel import TrajectoryDataset, _Made, partition_past_future
 from softdeepc.plants import LtiPlant
 from softdeepc.qp import QpSolver
 from softdeepc.runlog import StageSpec
@@ -316,6 +316,23 @@ class TestBasicSolves:
         with pytest.raises(ValueError, match="P must be positive definite"):
             QpSolver(P, A_in=np.eye(2))
 
+    def test_singular_cost_is_rejected_or_never_certified(self):
+        # P = H'H with H an (n-1) x n Gaussian matrix is singular, but dpotrf
+        # may factor it with pivots above the round-off rule: a few of these
+        # 400 draws build, depending on BLAS rounding. With a random q the
+        # problem has no minimizer, so no solve on such a P may be "optimal"
+        for n in (5, 60):
+            for seed in range(200):
+                rng = np.random.default_rng(seed)
+                H = rng.standard_normal((n - 1, n))
+                q = rng.standard_normal(n)
+                try:
+                    solver = QpSolver(H.T @ H)
+                except ValueError as exc:
+                    assert "P must be positive definite" in str(exc)
+                    continue
+                assert solver.solve(q).status != "optimal", (n, seed)
+
     def test_ill_conditioned_positive_definite_cost_accepted(self):
         # pivot^2 / max diag(P) = 1e-9: small, but above the singular P's
         sol = QpSolver(np.diag([1.0, 1e-9])).solve([-1.0, -1e-9], None, None, None)
@@ -335,7 +352,7 @@ class TestBasicSolves:
             A, B, C, D = random_minimal_lti(rng, 3, 1, 1)
             u, y = collect_lti_dataset(A, B, C, D, rng, 80)
             y = y + 0.01 * rng.standard_normal(y.shape)
-            part = partition_past_future(build_hankel(u, 5), build_hankel(y, 5), 4, 1)
+            part = partition_past_future(TrajectoryDataset(u, y), 4, 1)
             with pytest.raises(ValueError, match="P must be positive definite"):
                 assemble(cfg, part)
 
@@ -930,8 +947,7 @@ class TestSeedShift:
         rng = np.random.default_rng(23)
         A, B, C, D = random_minimal_lti(rng, 3, 1, 1)
         u_d, y_d = collect_lti_dataset(A, B, C, D, rng, 200)
-        part = partition_past_future(build_hankel(u_d, 13), build_hankel(y_d, 13),
-                                     3, 10)
+        part = partition_past_future(TrajectoryDataset(u_d, y_d), 3, 10)
         tpl = assemble(DeePCConfig(t_ini=3, horizon=10, R=0.01, lambda_g=1.0,
                                    lambda_y=1e6, u_lower=-1.0, u_upper=1.0), part)
         assert tpl.solver.seed_shift == 1

@@ -12,8 +12,8 @@ from softdeepc.config import ExperimentConfig
 from softdeepc.controller import DeePCConfig, assemble, step
 from softdeepc.hankel import (
     HankelPartition,
+    TrajectoryDataset,
     _Made,
-    build_hankel,
     numerical_rank,
     partition_past_future,
     stacked_hankel,
@@ -40,9 +40,7 @@ def make_partition(m=2, p=1, t_ini=4, horizon=6, T=80, seed=0, plant=None):
             ys.append(C @ x)
             x = A @ x + B @ uk
         y = np.array(ys)
-    Hu = build_hankel(u, L)
-    Hy = build_hankel(y, L)
-    return partition_past_future(Hu, Hy, t_ini, horizon)
+    return partition_past_future(TrajectoryDataset(u, y), t_ini, horizon)
 
 
 class TestSelectRank:
@@ -257,10 +255,7 @@ class TestQrFirstSvd:
     def test_energy_rule_rank_matches_plain_svd_on_shipped_data(self, monkeypatch):
         cfg = ExperimentConfig()
         dataset = experiments.collect_dataset(cfg, seed=0)
-        depth = cfg.t_ini + cfg.horizon
-        partition = partition_past_future(build_hankel(dataset.inputs, depth),
-                                          build_hankel(dataset.outputs, depth),
-                                          cfg.t_ini, cfg.horizon)
+        partition = partition_past_future(dataset, cfg.t_ini, cfg.horizon)
         picked = experiments._raise_rank_until_feasible(partition, cfg.reduction_energy)
         monkeypatch.setattr(reduction, "left_singular", plain_svd)
         reference = experiments._raise_rank_until_feasible(partition,
@@ -275,10 +270,7 @@ class TestAutoRankFactorizesOnce:
     def stacks(self):
         cfg = ExperimentConfig()
         dataset = experiments.collect_dataset(cfg, seed=0)
-        depth = cfg.t_ini + cfg.horizon
-        shipped = partition_past_future(build_hankel(dataset.inputs, depth),
-                                        build_hankel(dataset.outputs, depth),
-                                        cfg.t_ini, cfg.horizon)
+        shipped = partition_past_future(dataset, cfg.t_ini, cfg.horizon)
         deficient = make_partition(m=1, p=1, t_ini=5, horizon=5, T=100, seed=3,
                                    plant=(np.diag([0.8, 0.6, 0.4]),
                                           np.array([[1.0], [0.5], [0.2]]),
@@ -392,7 +384,7 @@ class TestLosslessCondensation:
         rng = np.random.default_rng(24)
         u, y = rng.standard_normal((T, 2)), rng.standard_normal((T, 1))
         layout = dict(input_dim=2, output_dim=1, t_ini=4, horizon=6)
-        stack = stacked_hankel(u, y, 10)
+        stack = stacked_hankel(TrajectoryDataset(u, y), 10)
         raw = stack.copy()
         cond = condense_stack(_Made(stack), **layout)
         # the QR overwrote the stack itself: no copy of it was factored
@@ -406,7 +398,7 @@ class TestLosslessCondensation:
         # f2py's geqrf would overwrite an F-ordered array even when it is
         # read-only, so a frozen stack is never the target
         rng = np.random.default_rng(25)
-        stack = stacked_hankel(rng.standard_normal((60, 1)), rng.standard_normal((60, 1)), 10)
+        stack = stacked_hankel(TrajectoryDataset(*rng.standard_normal((2, 60))), 10)
         stack.flags.writeable = False
         raw = stack.copy()
         cond = condense_stack(_Made(stack), input_dim=1, output_dim=1, t_ini=4, horizon=6)
@@ -423,9 +415,7 @@ class TestLosslessCondensation:
         rng = np.random.default_rng(n)
         A, B, C, D = random_minimal_lti(rng, n, 1, 1)
         u_d, y_d = collect_lti_dataset(A, B, C, D, rng, 200)
-        depth = t_ini + horizon
-        part = partition_past_future(build_hankel(u_d, depth),
-                                     build_hankel(y_d, depth), t_ini, horizon)
+        part = partition_past_future(TrajectoryDataset(u_d, y_d), t_ini, horizon)
         assert (numerical_rank(part.matrix) == part.matrix.shape[0]) == full_row_rank
         cfg = DeePCConfig(t_ini=t_ini, horizon=horizon, Q=1.0, R=0.01,
                           lambda_g=1.0, lambda_y=1e4, u_lower=-0.5, u_upper=0.5)
