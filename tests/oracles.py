@@ -2,8 +2,9 @@
 
 Nothing here calls into the package's QP solver or controller: the MPC
 oracle condenses the horizon problem onto the input sequence and solves it
-with scipy's bounded least squares, and the rollout helpers step the state
-equations directly. The soft-arm reference steps one control period at a
+with scipy's bounded least squares, the DeePC oracle eliminates the
+combination vector g by a null-space method and solves what is left the
+same way, and the rollout helpers step the state equations directly. The soft-arm reference steps one control period at a
 time on numpy 3-vectors, with its own least-squares bending inverse; it
 shares only the forward tip map with the package. The KKT-residual
 reference is the solver certifier's definition written out densely, one
@@ -92,6 +93,82 @@ def model_mpc(A, B, C, D, x0, Q, R, refs, u_lower, u_upper):
                          max_iter=500)
         u = res.x
     return u.reshape(N, m)
+
+
+def _weight_root(value, dim):
+    """A root W^1/2 of a scalar or (dim, dim) PSD weight, by eigenvalues."""
+    w = np.asarray(value, dtype=float)
+    w = w * np.eye(dim) if w.ndim == 0 else 0.5 * (w + w.T)
+    eigs, V = np.linalg.eigh(w)
+    return np.sqrt(np.maximum(eigs, 0.0))[:, None] * V.T
+
+
+def _range_and_null(M, scale=None):
+    """(range basis, singular values, row-space basis, null basis) of M by SVD.
+
+    Singular values below 1e-9 of scale (default: the largest) count as
+    zero: noiseless Hankel data leaves its zero ones at round-off, up to
+    about 1e-13 of the largest.
+    """
+    U, s, Vt = np.linalg.svd(M)
+    rank = int(np.count_nonzero(s > 1e-9 * (s[0] if scale is None else scale)))
+    return U[:, :rank], s[:rank], Vt[:rank].T, Vt[rank:].T
+
+
+def deepc_input_space(data, cfg, u_ini, y_ini, refs):
+    """The DeePC plan as a bounded least-squares problem in the future inputs.
+
+    For fixed (u_ini, y_ini), every g with A g = b(u_f) (A = [Up; Uf], plus
+    Yp under hard history, lambda_y = inf) is A^+ b(u_f) + N z with N a
+    null-space basis of A from its SVD. The DeePC cost is ||M g - t||^2,
+    so minimizing over z projects onto the complement of range(M N), which
+    leaves a linear least-squares problem in u_f alone; the input box is its
+    bound, and scipy's BVLS solves it. Returns (planned inputs (N, m), the
+    DeePC cost at the optimum). A must have full row rank or b(u_f) must be
+    consistent; nothing here reads the structure of a condensed matrix.
+    """
+    m, p, N = data.input_dim, data.output_dim, cfg.horizon
+    hard = np.isinf(cfg.lambda_y)
+    A = np.vstack([data.Up, data.Uf] + ([data.Yp] if hard else []))
+    # b(u_f) = b0 + Sel u_f
+    b0 = np.concatenate([u_ini, np.zeros(N * m)] + ([y_ini] if hard else []))
+    Sel = np.zeros((len(b0), N * m))
+    Sel[len(u_ini) : len(u_ini) + N * m] = np.eye(N * m)
+    # the cost ||M g - t||^2, term by term
+    Qr = np.kron(np.eye(N), _weight_root(cfg.Q, p))
+    Rr = np.kron(np.eye(N), _weight_root(cfg.R, m))
+    M_rows = [Qr @ data.Yf, Rr @ data.Uf]
+    t_rows = [Qr @ np.asarray(refs, dtype=float).reshape(-1), np.zeros(N * m)]
+    if not hard and cfg.lambda_y > 0:
+        M_rows.append(np.sqrt(cfg.lambda_y) * data.Yp)
+        t_rows.append(np.sqrt(cfg.lambda_y) * np.asarray(y_ini, dtype=float))
+    if cfg.lambda_g > 0:
+        M_rows.append(np.sqrt(cfg.lambda_g) * np.eye(A.shape[1]))
+        t_rows.append(np.zeros(A.shape[1]))
+    M, t = np.vstack(M_rows), np.concatenate(t_rows)
+
+    W, s, V, Nb = _range_and_null(A)
+    pinv = V @ (W.T / s[:, None])  # A^+
+    G = M @ Nb
+    # M N can vanish to round-off (noiseless data fixes Yf g from A g), so
+    # its rank is judged against the scale of M
+    B = (_range_and_null(G, np.linalg.norm(M, 2))[0] if G.size
+         else np.zeros((len(t), 0)))
+
+    def project(x):
+        return x - B @ (B.T @ x)
+
+    J = project(M @ (pinv @ Sel))
+    h = project(t - M @ (pinv @ b0))
+    lb = np.tile(np.broadcast_to(np.asarray(cfg.u_lower, dtype=float), (m,)), N)
+    ub = np.tile(np.broadcast_to(np.asarray(cfg.u_upper, dtype=float), (m,)), N)
+    if np.all(np.isinf(lb)) and np.all(np.isinf(ub)):
+        u, *_ = np.linalg.lstsq(J, h, rcond=None)
+    else:
+        u = lsq_linear(J, h, bounds=(lb, ub), method="bvls", tol=1e-14,
+                       lsq_solver="exact", max_iter=2000).x
+    resid = J @ u - h
+    return u.reshape(N, m), float(resid @ resid)
 
 
 def collect_lti_dataset(A, B, C, D, rng, T, amplitude=1.0, x0=None):

@@ -6,8 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import (collect_lti_dataset, model_mpc, random_minimal_lti, rollout,
-                     stored_cost_matrix)
+from oracles import (collect_lti_dataset, deepc_input_space, model_mpc,
+                     random_minimal_lti, rollout, stored_cost_matrix)
 
 from softdeepc.controller import (
     DeePCConfig,
@@ -557,6 +557,70 @@ class TestClosedLoop(ScenarioMixin):
         ctrl.prime(np.zeros((tpl.config.t_ini, 1)),
                    np.zeros((tpl.config.t_ini, 1)))
         assert ctrl.history.full
+
+
+class TestInputSpaceOracle:
+    """The step's plan against the null-space oracle's box QP in the future inputs.
+
+    With lambda_g > 0 the outputs carry noise, so that [Up; Uf; Yp] has full
+    row rank and every history is feasible under hard history too. With
+    lambda_g = 0 they are noiseless: noisy data would let g fit any output
+    with zero input. References are large enough that the input box binds
+    on some steps.
+    """
+
+    @staticmethod
+    def fixture(seed, noise, t_ini=3, horizon=6):
+        rng = np.random.default_rng(seed)
+        A, B, C, D = random_minimal_lti(rng, 3, 2, 2)
+        u, y = collect_lti_dataset(A, B, C, D, rng, 120)
+        y = y + noise * rng.standard_normal(y.shape)
+        return rng, (A, B, C, D), make_partition(u, y, t_ini, horizon)
+
+    @staticmethod
+    def check(tpl, data, history, refs):
+        res = step(tpl, history, refs)
+        assert res.solution.status == "optimal"
+        u, cost = deepc_input_space(data, tpl.config, history.u_ini, history.y_ini, refs)
+        np.testing.assert_allclose(res.optimal_inputs, u, rtol=0, atol=1e-6)
+        assert res.objective == pytest.approx(cost, rel=1e-6, abs=1e-9)
+        return res
+
+    @pytest.mark.parametrize("lambda_g, condense", [(1.0, False), (1.0, True), (0.0, False)],
+                             ids=["raw", "lossless", "unregularized"])
+    @pytest.mark.parametrize("lambda_y", [1e3, math.inf], ids=["soft", "hard"])
+    def test_lti(self, lambda_g, condense, lambda_y):
+        noise = 0.01 if lambda_g > 0 else 0.0
+        rng, sys, part = self.fixture(seed=43, noise=noise)
+        data = condense_lossless(part) if condense else part
+        cfg = DeePCConfig(t_ini=3, horizon=6, Q=2.0, R=0.05, lambda_g=lambda_g,
+                          lambda_y=lambda_y, u_lower=-0.5, u_upper=0.5)
+        tpl = assemble(cfg, data)
+        saturated = 0
+        for _ in range(6):
+            history = tpl.make_history()
+            u_h = rng.uniform(-0.5, 0.5, (3, 2))
+            y_h, _ = rollout(*sys, u_h, x0=rng.standard_normal(3))
+            for u, y in zip(u_h, y_h + noise * rng.standard_normal(y_h.shape)):
+                history.push(u, y)
+            res = self.check(tpl, data, history, 2.0 * rng.standard_normal((6, 2)))
+            saturated += int(np.any(np.abs(res.optimal_inputs) >= 0.5 - 1e-9))
+        assert saturated > 0
+
+    @pytest.mark.parametrize("lambda_y", ["default", math.inf])
+    def test_soft_arm_default_template(self, lambda_y):
+        cfg = ExperimentConfig()
+        if lambda_y != "default":
+            cfg = dataclasses.replace(cfg, lambda_y=lambda_y)
+        dataset = collect_dataset(cfg, seed=0)
+        tpl = build_controller(cfg, dataset).template
+        data = condense_lossless(partition_past_future(dataset, cfg.t_ini, cfg.horizon))
+        for start in (100, 700, 1200):
+            history = tpl.make_history()
+            for k in range(start, start + cfg.t_ini):
+                history.push(dataset.inputs[k], dataset.outputs[k])
+            refs = np.tile(dataset.outputs[start + cfg.t_ini + 40], (cfg.horizon, 1))
+            self.check(tpl, data, history, refs)
 
 
 class TestStepObjective:
