@@ -14,6 +14,21 @@ the slack off entirely and enforces Yp g = y_ini as a hard equality.
 The data is one HankelPartition, raw (g has one entry per data window) or
 condensed (g has r entries); only the column count differs.
 
+On the lossless triangle (the partition reduction marks triangular, square,
+lambda_g > 0) each step solves in the N m future inputs u_f instead, the
+gamma-DDPC form of Breschi, Chiuso & Formentin (Automatica 2023). The
+triangle's rows are [Up; Uf; Yp; Yf] and row i reads only its first i + 1
+columns, so its first k rows, the equality rows and Uf, read only the first
+k entries of g through the triangular block L_kk. When those rows have full
+row rank (hankel's Gram certificate), L_kk is nonsingular and the first k
+entries of g are L_kk^-1 [u_ini; u_f] (with y_ini appended under hard
+history). The other entries meet no constraint and drop out in closed form
+through the Cholesky factor of their block of P. What is left is a box QP
+in u_f with a fixed Hessian and no equality rows; its linear cost is a
+fixed map of (u_ini, y_ini, Q y_ref), and g is rebuilt from its solution.
+Raw data, truncated data, lambda_g = 0 and a triangle that fails the
+certificate solve in g.
+
 With lambda_g = 0 the problem reads g only through the data matrix H, so
 raw data is condensed at the numerical rank of H (g = V1 h), which loses
 nothing, and the cost gets rho ||A_eq h||^2 on top, A_eq the equality rows
@@ -26,8 +41,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dpotrf, dtrtri
 
-from .hankel import HankelPartition, _Made, numerical_rank, singular_value_rank
+from .hankel import (HankelPartition, _gram_certifies, _Made, numerical_rank,
+                     singular_value_rank)
 from .qp import QpSolution, QpSolver
 from .reduction import left_singular
 
@@ -165,13 +183,16 @@ class HistoryBuffer:
 class DeePCStepResult:
     """One receding-horizon solve: the plan read off the solver's result.
 
-    solution is the QpSolution the solve returned, as it is: its z_star is
-    the decision vector g (one entry per data column, raw or condensed), and
+    solution is the QpSolution the solve returned: its z_star is the
+    decision vector g (one entry per data column, raw or condensed), and
     its status, path, KKT residual, iterations and sweeps are the step's
     solver report. With lambda_g = 0, z_star is the reduced coordinate h of
     the data condensed at its numerical rank, and template.Uf @ z_star gives
-    the planned inputs. objective is the DeePC cost of the plan, not the
-    QP's.
+    the planned inputs. On the input-space path (template.input_space) the
+    solver's result is that of the box QP in u_f, with z_star replaced by
+    g rebuilt from u_f: multipliers_eq is empty, multipliers_in holds the
+    multipliers of the input box, and the solution's objective is the box
+    QP's. objective is the DeePC cost of the plan, not the QP's.
     """
 
     optimal_inputs: np.ndarray      # (horizon, m)
@@ -194,6 +215,13 @@ class DeePCTemplate:
     holds both, and the template keeps no P. With lambda_g = 0 it keeps the
     data condensed at its numerical rank (module docstring) and raises
     ValueError when the plan is not unique.
+
+    input_space says whether the steps solve in u_f (module docstring).
+    Then the solver is that of the box QP, whose Hessian is built from the
+    blocks of P, and no n x n array is kept: a step reads the map to the
+    box QP's linear cost (N m rows), the tied block L_kk, and the map and
+    triangular factor of the free entries, instead of the transposed data
+    rows, and rebuilds g before the plan is read off it.
     """
 
     def __init__(self, config: DeePCConfig, data: HankelPartition):
@@ -280,10 +308,74 @@ class DeePCTemplate:
             self.box_lower = np.tile(u_lo, N)
             self.box_upper = np.tile(u_hi, N)
 
-        # A_in is Uf: shifting the working set by one input block lines the
-        # last plan up with this one. P is handed over: the solver factors
-        # it in place, so the set-up holds one n x n array
-        self.solver = QpSolver(_Made(P), self.A_eq, self.A_in, seed_shift=self.m)
+        # the triangle's first rows are the equality rows and Uf; with full
+        # row rank, its leading block L_kk is nonsingular (module docstring)
+        tied = self.A_eq.shape[0] + self.m * N
+        self.input_space = (data.triangular and data.columns == data.matrix.shape[0]
+                            and _gram_certifies(data.matrix[:tied, :tied]))
+        if self.input_space:
+            self.solver = self._input_space_solver(P, data.matrix, tied)
+        else:
+            # A_in is Uf: shifting the working set by one input block lines
+            # the last plan up with this one. P is handed over: the solver
+            # factors it in place, so the set-up holds one n x n array
+            self.solver = QpSolver(_Made(P), self.A_eq, self.A_in, seed_shift=self.m)
+
+    def _input_space_solver(self, P, L, k):
+        """The solver of the box QP in u_f, and the maps a step reads.
+
+        L is the triangle and k the count of its tied rows, the equality
+        rows and Uf; P is read in blocks. g splits into the tied entries a
+        (the first k) and the free ones f. a = L_kk^-1 b, with b the values
+        of the tied rows, [u_ini; u_f] (and y_ini under hard history). The
+        step's linear cost is q = Cq theta_q, theta_q the tail of
+        theta = [u_ini; y_ini; Qt y_ref] from _q_start. For fixed a, the f
+        that minimizes the cost is -U^-1 (W a + Om theta_q), with
+        P_ff = U'U and [W | Om] = U^-T [P_fa | Cq_f]; the cost left in a is
+        a'S a / 2 + ell theta_q . a, with S = P_aa - W'W and
+        ell = Cq_a - W'Om. Substituting a = L_kk^-1 b gives the Hessian H
+        and the map K of the box QP's linear cost c = K theta.
+        """
+        N, t_ini, m, p = self.config.horizon, self.config.t_ini, self.m, self.p
+        m_ini, n_u = m * t_ini, m * N
+        Cq = -2.0 * self._cost_rows.T
+        if self._slack_cost:
+            Cq[:, : p * t_ini] *= self.config.lambda_y
+        self._q_start = m_ini + (0 if self._slack_cost else p * t_ini)
+
+        # F-ordered, so that the step's triangular solve reads it in place
+        self._L_tied = np.asfortranarray(L[:k, :k])
+        Li, _ = dtrtri(self._L_tied, lower=1)
+        U, info = dpotrf(P[k:, k:])
+        if info:
+            raise ValueError("P must be positive definite: its block of the free "
+                             f"entries does not factor at column {info}")
+        # an explicit U^-1 and one product: faster than dtrsm at these sizes
+        WO = dtrtri(U)[0].T @ np.hstack([P[k:, :k], Cq[k:]])
+        W = WO[:, :k]
+        S = P[:k, :k] - W.T @ W
+        ell = Cq[:k] - W.T @ WO[:, k:]
+        # a = Li b: the u_f columns of Li, and those of the rest of b
+        Au = Li[:, m_ini : m_ini + n_u]
+        SAu = S @ Au
+        self._K = np.zeros((n_u, m_ini + p * (t_ini + N)))
+        self._K[:, : k - n_u] = SAu.T @ np.hstack([Li[:, :m_ini], Li[:, m_ini + n_u :]])
+        self._K[:, self._q_start :] = Au.T @ ell
+        WO *= -1.0
+        self._free_map = WO
+        self._U_free = U
+        H = Au.T @ SAu
+        # the input box rows are u_f itself, in time order: a shift of one
+        # input block lines the last plan up with this one
+        A_in = None if self.A_in is None else np.eye(n_u)
+        return QpSolver(_Made(0.5 * (H + H.T)), None, A_in, seed_shift=m)
+
+    def _combination(self, u, u_ini, y_ini, theta) -> np.ndarray:
+        """g from the planned inputs u, on the input-space path."""
+        b = np.concatenate([u_ini, u, y_ini] if self.hard_history else [u_ini, u])
+        a = dtrsv(self._L_tied, b, lower=1, overwrite_x=1)
+        f = self._free_map @ np.concatenate([a, theta[self._q_start :]])
+        return np.concatenate([a, dtrsv(self._U_free, f, overwrite_x=1)])
 
     def make_history(self) -> HistoryBuffer:
         return HistoryBuffer(self.config.t_ini, self.m, self.p)
@@ -305,17 +397,25 @@ def step(template: DeePCTemplate, history: HistoryBuffer,
             f"reference_window must hold {N} outputs of dimension {p}, "
             f"got {np.shape(reference_window)}"
         )
+    if not np.isfinite(refs).all():
+        raise ValueError("reference_window must be finite")
     u_ini = history.u_ini
     y_ini = history.y_ini
 
     Qt_ref = (refs.reshape(N, p) @ template.Q).reshape(-1)
-    if template._slack_cost:
-        q = template._cost_rows.T @ np.concatenate([(-2.0 * cfg.lambda_y) * y_ini,
-                                                    -2.0 * Qt_ref])
+    if template.input_space:
+        theta = np.concatenate([u_ini, y_ini, Qt_ref])
+        sol = template.solver.solve(template._K @ theta, None,
+                                    template.box_lower, template.box_upper)
+        sol = replace(sol, z_star=template._combination(sol.z_star, u_ini, y_ini, theta))
     else:
-        q = template._cost_rows.T @ (-2.0 * Qt_ref)
-    b_eq = np.concatenate([u_ini, y_ini]) if template.hard_history else u_ini
-    sol = template.solver.solve(q, b_eq, template.box_lower, template.box_upper)
+        if template._slack_cost:
+            q = template._cost_rows.T @ np.concatenate([(-2.0 * cfg.lambda_y) * y_ini,
+                                                        -2.0 * Qt_ref])
+        else:
+            q = template._cost_rows.T @ (-2.0 * Qt_ref)
+        b_eq = np.concatenate([u_ini, y_ini]) if template.hard_history else u_ini
+        sol = template.solver.solve(q, b_eq, template.box_lower, template.box_upper)
 
     g = sol.z_star
     plan = template._plan_map @ g

@@ -251,6 +251,11 @@ class HankelPartition:
     ||g|| = ||h||. reduction.condense_lossless takes V from a QR and keeps
     everything; reduction.factorize_and_condense truncates an SVD, and only
     it sets singular_values, the spectrum of the raw matrix.
+
+    triangular marks the QR triangle of the lossless condensation, which
+    only reduction sets: row i of the matrix reads only its first i + 1
+    columns. The controller reads the mark, never the zeros, to solve such
+    data in input space.
     """
 
     matrix: np.ndarray
@@ -260,6 +265,7 @@ class HankelPartition:
     horizon: int
     singular_values: np.ndarray | None = None
     condensed: bool = False
+    triangular: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze(self.matrix))
@@ -268,6 +274,8 @@ class HankelPartition:
             raise ValueError(
                 f"matrix has shape {self.matrix.shape}, expected ({rows}, K >= 1)"
             )
+        if self.triangular and (not self.condensed or self.singular_values is not None):
+            raise ValueError("triangular marks the lossless condensation's triangle")
         if self.singular_values is not None:
             if not self.condensed:
                 raise ValueError("singular_values belong to condensed data")

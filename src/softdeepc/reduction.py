@@ -107,12 +107,12 @@ def condense_lossless(partition: HankelPartition) -> HankelPartition:
     """The condensation that loses nothing: the triangle R' of stack' = Q R.
 
     Keeps min(rows, columns) columns, the row layout of the partition, and
-    no singular values. With lambda_g > 0 a controller on it solves the same
-    problem as one on the raw partition. The partition's matrix is copied
-    once and left as it was.
+    no singular values, and is marked triangular. With lambda_g > 0 a
+    controller on it solves the same problem as one on the raw partition.
+    The partition's matrix is copied once and left as it was.
     """
     return dataclasses.replace(partition, matrix=_Made(_qr_triangle(partition.matrix)),
-                               condensed=True)
+                               condensed=True, triangular=True)
 
 
 def condense_stack(stack: _Made, input_dim: int, output_dim: int, t_ini: int,
@@ -126,7 +126,7 @@ def condense_stack(stack: _Made, input_dim: int, output_dim: int, t_ini: int,
     """
     return HankelPartition(matrix=_Made(_qr_triangle(stack)), input_dim=input_dim,
                            output_dim=output_dim, t_ini=t_ini, horizon=horizon,
-                           condensed=True)
+                           condensed=True, triangular=True)
 
 
 def factorize_and_condense(partition: HankelPartition, r: int | None = None,
@@ -148,4 +148,4 @@ def factorize_and_condense(partition: HankelPartition, r: int | None = None,
         if not 1 <= r <= max_r:
             raise ValueError(f"r must lie in [1, {max_r}], got {r}")
     return dataclasses.replace(partition, matrix=_Made(W[:, :r] * s[:r]),
-                               singular_values=s, condensed=True)
+                               singular_values=s, condensed=True, triangular=False)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,110 @@ class TestStepBehavior(ScenarioMixin):
             hist.push([0.0], [0.0])
         with pytest.raises(ValueError, match="reference_window"):
             step(tpl, hist, np.zeros((3, 1)))
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("lossless", [False, True], ids=["raw", "lossless"])
+    def test_nonfinite_reference_window_rejected(self, value, lossless):
+        # named before any product: the step used to pass it on, so the
+        # solver raised "q must be finite" after a RuntimeWarning
+        _, sys, part, tpl = self.build(seed=13, lambda_g=1.0, lambda_y=1e3)
+        if lossless:
+            tpl = assemble(tpl.config, condense_lossless(part))
+            assert tpl.input_space
+        hist = tpl.make_history()
+        for _ in range(tpl.config.t_ini):
+            hist.push([0.0], [0.0])
+        refs = np.zeros((8, 1))
+        refs[3] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="reference_window must be finite"):
+                step(tpl, hist, refs)
+
+
+class TestInputSpacePath:
+    """Which templates solve the box QP in the future inputs, and what they hold."""
+
+    @staticmethod
+    def partition(T=120, t_ini=3, horizon=6, seed=47, noise=0.01):
+        rng = np.random.default_rng(seed)
+        A, B, C, D = random_minimal_lti(rng, 3, 2, 2)
+        u, y = collect_lti_dataset(A, B, C, D, rng, T)
+        return make_partition(u, y + noise * rng.standard_normal(y.shape), t_ini, horizon)
+
+    @staticmethod
+    def config(lambda_g=1.0, lambda_y=1e3):
+        return DeePCConfig(t_ini=3, horizon=6, Q=2.0, R=0.05, lambda_g=lambda_g,
+                           lambda_y=lambda_y, u_lower=-0.5, u_upper=0.5)
+
+    def test_default_controller_build(self):
+        cfg = ExperimentConfig()
+        tpl = build_controller(cfg, collect_dataset(cfg, seed=0)).template
+        assert tpl.input_space
+        n_u = tpl.m * cfg.horizon
+        assert (tpl.solver.n, tpl.solver.n_e, tpl.solver.n_i) == (n_u, 0, n_u)
+        assert tpl.solver.seed_shift == tpl.m
+
+    @pytest.mark.parametrize("lambda_y", [1e3, math.inf], ids=["soft", "hard"])
+    def test_lossless_triangle(self, lambda_y):
+        data = condense_lossless(self.partition())
+        assert data.triangular
+        tpl = assemble(self.config(lambda_y=lambda_y), data)
+        assert tpl.input_space and tpl.solver.n == 12 and tpl.solver.n_e == 0
+        hist = tpl.make_history()
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            hist.push(rng.uniform(-0.5, 0.5, 2), rng.standard_normal(2))
+        res = step(tpl, hist, 2.0 * rng.standard_normal((6, 2)))
+        sol = res.solution
+        # z_star is g rebuilt from the planned inputs; no equality multipliers
+        assert sol.status == "optimal" and sol.z_star.shape == (tpl.n_g,)
+        assert sol.multipliers_eq.shape == (0,)
+        np.testing.assert_allclose(res.optimal_inputs.reshape(-1), tpl.Uf @ sol.z_star,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(tpl.Up @ sol.z_star, hist.u_ini, atol=1e-12)
+        assert np.abs(res.optimal_inputs).max() <= 0.5 + 1e-9
+
+    def test_g_space_cases(self):
+        part = self.partition()
+        rows = part.matrix.shape[0]
+        cases = {
+            "raw": (self.config(), part),
+            "truncated": (self.config(), factorize_and_condense(part, r=rows - 1)),
+            # square but not the triangle: only the mark selects the path
+            "svd at the row count": (self.config(), factorize_and_condense(part, r=rows)),
+            # noiseless: on noisy data lambda_g = 0 leaves the plan free
+            "lambda_g = 0": (self.config(lambda_g=0.0), self.partition(noise=0.0)),
+            "fewer columns than rows": (self.config(),
+                                        condense_lossless(self.partition(T=40))),
+        }
+        for case, (cfg, data) in cases.items():
+            tpl = assemble(cfg, data)
+            assert not tpl.input_space, case
+            assert tpl.solver.n == tpl.n_g, case
+        assert cases["fewer columns than rows"][1].triangular
+
+    def test_template_holds_no_n_by_n_array(self):
+        # the g-space solver keeps P and its factor in one n x n array; the
+        # input-space template's largest array is the free entries' map
+        part = self.partition(T=400, t_ini=10, horizon=20)
+        n = part.matrix.shape[0]
+        cfg = dataclasses.replace(self.config(), t_ini=10, horizon=20)
+        largest = {}
+        for name, data in (("input space", condense_lossless(part)),
+                           ("g space", factorize_and_condense(part, r=n))):
+            assert data.columns == n
+            tracemalloc.start()
+            try:
+                tpl = assemble(cfg, data)
+                traces = tracemalloc.take_snapshot().traces
+            finally:
+                tracemalloc.stop()
+            assert tpl.input_space == (name == "input space")
+            largest[name] = max(trace.size for trace in traces)
+        assert largest["g space"] >= n * n * 8
+        assert largest["input space"] <= 0.5 * n * n * 8
 
 
 class TestReductionConsistency(ScenarioMixin):
