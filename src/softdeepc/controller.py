@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dtrmm, dtrsv
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .hankel import (HankelPartition, _gram_certifies, _Made, numerical_rank,
@@ -311,30 +311,32 @@ class DeePCTemplate:
         # the triangle's first rows are the equality rows and Uf; with full
         # row rank, its leading block L_kk is nonsingular (module docstring)
         tied = self.A_eq.shape[0] + self.m * N
-        self.input_space = (data.triangular and data.columns == data.matrix.shape[0]
-                            and _gram_certifies(data.matrix[:tied, :tied]))
+        L_tied = None
+        if data.triangular and data.columns == data.matrix.shape[0]:
+            # F-ordered, so that the step's triangular solve reads it in place
+            L_tied = np.asfortranarray(data.matrix[:tied, :tied])
+        self.input_space = L_tied is not None and _gram_certifies(L_tied)
         if self.input_space:
-            self.solver = self._input_space_solver(P, data.matrix, tied)
+            self.solver = self._input_space_solver(P, L_tied, tied)
         else:
             # A_in is Uf: shifting the working set by one input block lines
             # the last plan up with this one. P is handed over: the solver
             # factors it in place, so the set-up holds one n x n array
             self.solver = QpSolver(_Made(P), self.A_eq, self.A_in, seed_shift=self.m)
 
-    def _input_space_solver(self, P, L, k):
+    def _input_space_solver(self, P, L_tied, k):
         """The solver of the box QP in u_f, and the maps a step reads.
 
-        L is the triangle and k the count of its tied rows, the equality
-        rows and Uf; P is read in blocks. g splits into the tied entries a
-        (the first k) and the free ones f. a = L_kk^-1 b, with b the values
-        of the tied rows, [u_ini; u_f] (and y_ini under hard history). The
-        step's linear cost is q = Cq theta_q, theta_q the tail of
-        theta = [u_ini; y_ini; Qt y_ref] from _q_start. For fixed a, the f
-        that minimizes the cost is -U^-1 (W a + Om theta_q), with
-        P_ff = U'U and [W | Om] = U^-T [P_fa | Cq_f]; the cost left in a is
-        a'S a / 2 + ell theta_q . a, with S = P_aa - W'W and
-        ell = Cq_a - W'Om. Substituting a = L_kk^-1 b gives the Hessian H
-        and the map K of the box QP's linear cost c = K theta.
+        L_tied is the triangle's leading block L_kk (F-ordered) over its k
+        tied rows, the equality rows and Uf. g = [a; f]: the tied entries
+        a = L_kk^-1 b, with b = [u_ini; u_f] (and y_ini under hard history),
+        and the free entries f. The linear cost is q = Cq theta_q, theta_q
+        the tail of theta = [u_ini; y_ini; Qt y_ref] from _q_start. With
+        P_ff = U'U and [W | Om] = U^-T [P_fa | Cq_f], the f that minimizes
+        the cost for fixed a is -U^-1 (W a + Om theta_q), and what is left
+        is a'S a / 2 + (ell theta_q)'a, with S = P_aa - W'W and
+        ell = Cq_a - W'Om. Putting in a = L_kk^-1 b gives the box QP's
+        Hessian H and its linear cost c = K theta.
         """
         N, t_ini, m, p = self.config.horizon, self.config.t_ini, self.m, self.p
         m_ini, n_u = m * t_ini, m * N
@@ -343,28 +345,34 @@ class DeePCTemplate:
             Cq[:, : p * t_ini] *= self.config.lambda_y
         self._q_start = m_ini + (0 if self._slack_cost else p * t_ini)
 
-        # F-ordered, so that the step's triangular solve reads it in place
-        self._L_tied = np.asfortranarray(L[:k, :k])
-        Li, _ = dtrtri(self._L_tied, lower=1)
+        Li, _ = dtrtri(L_tied, lower=1)
+        self._L_tied = L_tied
         U, info = dpotrf(P[k:, k:])
         if info:
             raise ValueError("P must be positive definite: its block of the free "
                              f"entries does not factor at column {info}")
-        # an explicit U^-1 and one product: faster than dtrsm at these sizes
-        WO = dtrtri(U)[0].T @ np.hstack([P[k:, :k], Cq[k:]])
-        W = WO[:, :k]
-        S = P[:k, :k] - W.T @ W
-        ell = Cq[:k] - W.T @ WO[:, k:]
-        # a = Li b: the u_f columns of Li, and those of the rest of b
-        Au = Li[:, m_ini : m_ini + n_u]
-        SAu = S @ Au
+        # [W | Om] by an explicit U^-1 and a triangular product, in place on
+        # an F-ordered [P_fa | Cq_f]: faster than dtrsm at these sizes
+        WO = np.empty((len(U), k + Cq.shape[1]), order="F")
+        WO[:, :k] = P[k:, :k]
+        WO[:, k:] = Cq[k:]
+        WO = dtrmm(1.0, dtrtri(U)[0], WO, trans_a=1, overwrite_b=1)
+        # W'[W | Om] becomes [S | ell] in place
+        G = WO[:, :k].T @ WO
+        S, ell = G[:, :k], G[:, k:]
+        np.subtract(P[:k, :k], S, out=S)
+        np.subtract(Cq[:k], ell, out=ell)
+        # a = Li b. Li is lower triangular, so its u_f columns vanish above
+        # row m_ini: Au holds them from that row on
+        Au = Li[m_ini:, m_ini : m_ini + n_u]
+        SAu = S[:, m_ini:] @ Au
         self._K = np.zeros((n_u, m_ini + p * (t_ini + N)))
         self._K[:, : k - n_u] = SAu.T @ np.hstack([Li[:, :m_ini], Li[:, m_ini + n_u :]])
-        self._K[:, self._q_start :] = Au.T @ ell
+        self._K[:, self._q_start :] = Au.T @ ell[m_ini:]
         WO *= -1.0
         self._free_map = WO
         self._U_free = U
-        H = Au.T @ SAu
+        H = Au.T @ SAu[m_ini:]
         # the input box rows are u_f itself, in time order: a shift of one
         # input block lines the last plan up with this one
         A_in = None if self.A_in is None else np.eye(n_u)
