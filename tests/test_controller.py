@@ -34,6 +34,15 @@ def primed_controller(template, u_hist, y_hist):
     return ctrl
 
 
+def lti_partition(seed, noise, T=120, t_ini=3, horizon=6):
+    """(rng, plant, partition) of a 3-state, 2-input, 2-output plant's record."""
+    rng = np.random.default_rng(seed)
+    A, B, C, D = random_minimal_lti(rng, 3, 2, 2)
+    u, y = collect_lti_dataset(A, B, C, D, rng, T)
+    return rng, (A, B, C, D), make_partition(u, y + noise * rng.standard_normal(y.shape),
+                                             t_ini, horizon)
+
+
 class TestConfig:
     @pytest.mark.parametrize("name", ["tol_kkt", "tol_feas", "max_iter"])
     def test_solver_settings_are_not_fields(self, name):
@@ -386,11 +395,8 @@ class TestInputSpacePath:
     """Which templates solve the box QP in the future inputs, and what they hold."""
 
     @staticmethod
-    def partition(T=120, t_ini=3, horizon=6, seed=47, noise=0.01):
-        rng = np.random.default_rng(seed)
-        A, B, C, D = random_minimal_lti(rng, 3, 2, 2)
-        u, y = collect_lti_dataset(A, B, C, D, rng, T)
-        return make_partition(u, y + noise * rng.standard_normal(y.shape), t_ini, horizon)
+    def partition(noise=0.01, **kwargs):
+        return lti_partition(47, noise, **kwargs)[2]
 
     @staticmethod
     def config(lambda_g=1.0, lambda_y=1e3):
@@ -675,14 +681,6 @@ class TestInputSpaceOracle:
     """
 
     @staticmethod
-    def fixture(seed, noise, t_ini=3, horizon=6):
-        rng = np.random.default_rng(seed)
-        A, B, C, D = random_minimal_lti(rng, 3, 2, 2)
-        u, y = collect_lti_dataset(A, B, C, D, rng, 120)
-        y = y + noise * rng.standard_normal(y.shape)
-        return rng, (A, B, C, D), make_partition(u, y, t_ini, horizon)
-
-    @staticmethod
     def check(tpl, data, history, refs):
         res = step(tpl, history, refs)
         assert res.solution.status == "optimal"
@@ -696,7 +694,7 @@ class TestInputSpaceOracle:
     @pytest.mark.parametrize("lambda_y", [1e3, math.inf], ids=["soft", "hard"])
     def test_lti(self, lambda_g, condense, lambda_y):
         noise = 0.01 if lambda_g > 0 else 0.0
-        rng, sys, part = self.fixture(seed=43, noise=noise)
+        rng, sys, part = lti_partition(43, noise)
         data = condense_lossless(part) if condense else part
         cfg = DeePCConfig(t_ini=3, horizon=6, Q=2.0, R=0.05, lambda_g=lambda_g,
                           lambda_y=lambda_y, u_lower=-0.5, u_upper=0.5)

@@ -308,6 +308,13 @@ class TestCondensedPartitionValidation:
             HankelPartition(matrix=np.zeros((4, 1)), input_dim=1, output_dim=1,
                             t_ini=1, horizon=1, singular_values=[1.0])
 
+    @pytest.mark.parametrize("fields", [{}, {"condensed": True, "singular_values": [1.0]}],
+                             ids=["raw", "svd"])
+    def test_triangular_marks_only_the_lossless_triangle(self, fields):
+        with pytest.raises(ValueError, match="triangular"):
+            HankelPartition(matrix=np.zeros((4, 1)), input_dim=1, output_dim=1,
+                            t_ini=1, horizon=1, triangular=True, **fields)
+
     def test_bad_singular_order_rejected(self):
         with pytest.raises(ValueError, match="descending"):
             HankelPartition(matrix=np.zeros((4, 1)), input_dim=1, output_dim=1,
@@ -371,6 +378,19 @@ class TestLosslessCondensation:
         assert np.shares_memory(cond.matrix, made[0])
         assert cond.matrix.shape == expected.shape
         assert cond.matrix.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_only_the_lossless_condensations_mark_the_triangle(self):
+        rng = np.random.default_rng(27)
+        data = TrajectoryDataset(rng.standard_normal((80, 2)), rng.standard_normal((80, 1)))
+        part = partition_past_future(data, 4, 6)
+        lossless = condense_lossless(part)
+        assert lossless.triangular
+        assert condense_stack(_Made(stacked_hankel(data, 10)), input_dim=2, output_dim=1,
+                              t_ini=4, horizon=6).triangular
+        assert not part.triangular
+        assert not factorize_and_condense(part).triangular
+        # an SVD of the triangle is no triangle
+        assert not factorize_and_condense(lossless, r=lossless.columns).triangular
 
     def test_caller_partition_left_as_it_was(self):
         part = make_partition(seed=23)
