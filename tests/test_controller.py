@@ -43,6 +43,12 @@ def lti_partition(seed, noise, T=120, t_ini=3, horizon=6):
                                              t_ini, horizon)
 
 
+def lti_config(lambda_g=1.0, lambda_y=1e3, t_ini=3, horizon=6):
+    """Weights and a +-0.5 input box for lti_partition's plant."""
+    return DeePCConfig(t_ini=t_ini, horizon=horizon, Q=2.0, R=0.05, lambda_g=lambda_g,
+                       lambda_y=lambda_y, u_lower=-0.5, u_upper=0.5)
+
+
 class TestConfig:
     @pytest.mark.parametrize("name", ["tol_kkt", "tol_feas", "max_iter"])
     def test_solver_settings_are_not_fields(self, name):
@@ -398,11 +404,6 @@ class TestInputSpacePath:
     def partition(noise=0.01, **kwargs):
         return lti_partition(47, noise, **kwargs)[2]
 
-    @staticmethod
-    def config(lambda_g=1.0, lambda_y=1e3):
-        return DeePCConfig(t_ini=3, horizon=6, Q=2.0, R=0.05, lambda_g=lambda_g,
-                           lambda_y=lambda_y, u_lower=-0.5, u_upper=0.5)
-
     def test_default_controller_build(self):
         cfg = ExperimentConfig()
         tpl = build_controller(cfg, collect_dataset(cfg, seed=0)).template
@@ -415,7 +416,7 @@ class TestInputSpacePath:
     def test_lossless_triangle(self, lambda_y):
         data = condense_lossless(self.partition())
         assert data.triangular
-        tpl = assemble(self.config(lambda_y=lambda_y), data)
+        tpl = assemble(lti_config(lambda_y=lambda_y), data)
         assert tpl.input_space and tpl.solver.n == 12 and tpl.solver.n_e == 0
         hist = tpl.make_history()
         rng = np.random.default_rng(3)
@@ -435,13 +436,13 @@ class TestInputSpacePath:
         part = self.partition()
         rows = part.matrix.shape[0]
         cases = {
-            "raw": (self.config(), part),
-            "truncated": (self.config(), factorize_and_condense(part, r=rows - 1)),
+            "raw": (lti_config(), part),
+            "truncated": (lti_config(), factorize_and_condense(part, r=rows - 1)),
             # square but not the triangle: only the mark selects the path
-            "svd at the row count": (self.config(), factorize_and_condense(part, r=rows)),
+            "svd at the row count": (lti_config(), factorize_and_condense(part, r=rows)),
             # noiseless: on noisy data lambda_g = 0 leaves the plan free
-            "lambda_g = 0": (self.config(lambda_g=0.0), self.partition(noise=0.0)),
-            "fewer columns than rows": (self.config(),
+            "lambda_g = 0": (lti_config(lambda_g=0.0), self.partition(noise=0.0)),
+            "fewer columns than rows": (lti_config(),
                                         condense_lossless(self.partition(T=40))),
         }
         for case, (cfg, data) in cases.items():
@@ -455,7 +456,7 @@ class TestInputSpacePath:
         # input-space template's largest array is the free entries' map
         part = self.partition(T=400, t_ini=10, horizon=20)
         n = part.matrix.shape[0]
-        cfg = dataclasses.replace(self.config(), t_ini=10, horizon=20)
+        cfg = lti_config(t_ini=10, horizon=20)
         largest = {}
         for name, data in (("input space", condense_lossless(part)),
                            ("g space", factorize_and_condense(part, r=n))):
@@ -696,9 +697,7 @@ class TestInputSpaceOracle:
         noise = 0.01 if lambda_g > 0 else 0.0
         rng, sys, part = lti_partition(43, noise)
         data = condense_lossless(part) if condense else part
-        cfg = DeePCConfig(t_ini=3, horizon=6, Q=2.0, R=0.05, lambda_g=lambda_g,
-                          lambda_y=lambda_y, u_lower=-0.5, u_upper=0.5)
-        tpl = assemble(cfg, data)
+        tpl = assemble(lti_config(lambda_g, lambda_y), data)
         saturated = 0
         for _ in range(6):
             history = tpl.make_history()
